@@ -105,17 +105,14 @@ def cd1_gradient_step(
     params: RbmParams,
     minibatch: BinaryDataset,
     learning_rate: float,
-    seed: int,
 ) -> RbmParams:
     """One CD-1 update from batch-mean positive and negative statistics.
 
     W moves by the mean of x h_tilde' - x_tilde h_tilde'' over the batch,
     where the negative-phase hidden pass feeds the real-valued x_tilde back
     through the sigmoid.  Biases stay frozen.  The fully mean-field rule is
-    deterministic; seed is accepted for interface stability with sampling
-    variants and not consumed.
+    deterministic.
     """
-    del seed
     if learning_rate < 0.0:
         raise ValueError("learning_rate must be nonnegative")
     if minibatch.k != params.k:
@@ -175,7 +172,7 @@ def train_cd1(
         for start in range(0, data.n, batch_size):
             rows = order[start:start + batch_size]
             batch = BinaryDataset(data.samples[rows])
-            params = cd1_gradient_step(params, batch, learning_rate, seed)
+            params = cd1_gradient_step(params, batch, learning_rate)
         if epoch % audit_every == 0 or epoch == epochs:
             trace.append(audit(epoch))
     return trace

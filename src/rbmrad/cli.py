@@ -8,9 +8,12 @@ codes: 0 success, 2 configuration error, 3 verification-suite failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -120,36 +123,98 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _members(cfg: ExperimentConfig) -> list:
+    return fileio.read_members(cfg.members_file or _path(cfg, "members.txt"))
+
+
+@dataclass(frozen=True)
+class HypothesisClass:
+    """How the CLI estimates one class and which closed form it is held to.
+
+    estimate(cfg, data, spec, batch, opt) returns the EstimateReport;
+    context names the config fields among m, B_radius and W_radius that
+    the estimate CSV records; bounds are the BOUND_KEYS names whose values
+    are summed into the comparator, none when the class has no closed form.
+    """
+
+    estimate: Callable
+    context: tuple = ()
+    bounds: tuple = ()
+
+
+# The lambdas look the estimators up at call time, so a wrapper installed
+# on this module's globals sees every call.
+CLASSES = {
+    "F": HypothesisClass(
+        lambda cfg, data, spec, batch, opt: estimate_R_F(data, spec, batch),
+        context=("B_radius", "W_radius"),
+        bounds=("LEMMA1",),
+    ),
+    "G": HypothesisClass(
+        lambda cfg, data, spec, batch, opt: estimate_R_G(data, spec, batch),
+        context=("B_radius", "W_radius"),
+        bounds=("REMARK2",),
+    ),
+    "H": HypothesisClass(
+        lambda cfg, data, spec, batch, opt: estimate_R_H(data, spec, batch, opt),
+        context=("B_radius", "W_radius"),
+        bounds=("LEMMA1", "REMARK2"),
+    ),
+    "LOGLIK_PART1": HypothesisClass(
+        lambda cfg, data, spec, batch, opt: estimate_R_loglik_part1(
+            data, spec, cfg.m, batch, opt
+        ),
+        context=("m", "B_radius", "W_radius"),
+        bounds=("THEOREM1",),
+    ),
+    "T": HypothesisClass(
+        lambda cfg, data, spec, batch, opt: estimate_R_T(
+            data, spec, cfg.m, batch, opt
+        ),
+        context=("m", "B_radius", "W_radius"),
+    ),
+    "CD1_LOGZ": HypothesisClass(
+        lambda cfg, data, spec, batch, opt: estimate_R_cd1_logZ(
+            data, spec, cfg.m, batch, opt
+        ),
+        context=("m", "B_radius", "W_radius"),
+        bounds=("COROLLARY1",),
+    ),
+    "FINITE_T": HypothesisClass(
+        lambda cfg, data, spec, batch, opt: estimate_R_finite_T(
+            data, _members(cfg), batch
+        ),
+        bounds=("LEMMA4_FINITE",),
+    ),
+}
+
+# Bound name -> {bound input: estimate column it must equal}.  An input
+# mapped to None is free: every row of the bound across its values is
+# compared, so COROLLARY1 gives one comparison row per vc.
+BOUND_KEYS = {
+    "LEMMA1": {"B": "B_radius", "d": "k", "n": "n"},
+    "REMARK2": {"W": "W_radius", "d": "k", "n": "n"},
+    "THEOREM1": {"B": "B_radius", "W": "W_radius", "k": "k", "m": "m", "n": "n"},
+    "LEMMA4_FINITE": {"n": "n"},
+    "COROLLARY1": {"W": "W_radius", "k": "k", "m": "m", "n": "n", "vc": None},
+}
+
+
 def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
+    if class_name not in CLASSES:
+        raise ConfigError(f"unknown class name {class_name!r}")
+    cls = CLASSES[class_name]
     data = fileio.read_dataset(_path(cfg, "dataset.txt"))
     batch = sample_sigma_batch(data.n, cfg.num_sigma, cfg.seed)
     spec = ConstraintSpec(B_radius=cfg.B_radius, W_radius=cfg.W_radius)
     opt = OptimizerSettings(restarts=cfg.restarts, iterations=cfg.iterations)
+    report = cls.estimate(cfg, data, spec, batch, opt)
 
-    m_ctx: int | None = cfg.m
-    B_ctx: float | None = cfg.B_radius
-    W_ctx: float | None = cfg.W_radius
-    if class_name == "F":
-        report, m_ctx = estimate_R_F(data, spec, batch), None
-    elif class_name == "G":
-        report, m_ctx = estimate_R_G(data, spec, batch), None
-    elif class_name == "H":
-        report, m_ctx = estimate_R_H(data, spec, batch, opt), None
-    elif class_name == "LOGLIK_PART1":
-        report = estimate_R_loglik_part1(data, spec, cfg.m, batch, opt)
-    elif class_name == "T":
-        report = estimate_R_T(data, spec, cfg.m, batch, opt)
-    elif class_name == "CD1_LOGZ":
-        report = estimate_R_cd1_logZ(data, spec, cfg.m, batch, opt)
-    elif class_name == "FINITE_T":
-        members_path = cfg.members_file or _path(cfg, "members.txt")
-        members = fileio.read_members(members_path)
-        report = estimate_R_finite_T(data, members, batch)
-        m_ctx, B_ctx, W_ctx = None, None, None
-    else:
-        raise ConfigError(f"unknown class name {class_name!r}")
-
-    row = fileio.estimate_row(report, data.n, data.k, m_ctx, B_ctx, W_ctx)
+    context = {
+        name: getattr(cfg, name) if name in cls.context else None
+        for name in ("m", "B_radius", "W_radius")
+    }
+    row = fileio.estimate_row(report, data.n, data.k, **context)
     out = _path(cfg, f"estimate_{class_name}.csv")
     fileio.write_estimate_csv(out, [row])
     print(f"wrote {out}")
@@ -161,116 +226,71 @@ def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
     return EXIT_OK
 
 
-def _match(bound_rows, name, **inputs):
-    out = []
-    for row in bound_rows:
-        if row["bound_name"] != name:
-            continue
-        if all(row.get(key) == value for key, value in inputs.items()):
-            out.append(row)
-    return out
+def _match(bound_rows, name, est):
+    keys = BOUND_KEYS[name]
+    return [
+        row
+        for row in bound_rows
+        if row["bound_name"] == name
+        and all(col is None or row.get(key) == est[col] for key, col in keys.items())
+    ]
+
+
+def _comparison(est, bound_name, bound_value, stderr) -> dict:
+    return {
+        "class_name": est["class_name"],
+        "estimate_mean": est["mean"],
+        "estimate_stderr": stderr,
+        "bound_name": bound_name,
+        "bound_value": bound_value,
+        "satisfied": est["mean"] <= bound_value + 3.0 * stderr,
+    }
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
     bound_rows = fileio.read_bounds_csv(_path(cfg, "bounds.csv"))
     estimates = []
-    for cls in CLASS_NAMES:
-        path = _path(cfg, f"estimate_{cls}.csv")
+    for class_name in CLASS_NAMES:
+        path = _path(cfg, f"estimate_{class_name}.csv")
         if os.path.exists(path):
             estimates.extend(fileio.read_estimate_csv(path))
 
     rows = []
-
-    def emit(est, bound_name, bound_value):
-        rows.append(
-            {
-                "class_name": est["class_name"],
-                "estimate_mean": est["mean"],
-                "estimate_stderr": est["stderr"],
-                "bound_name": bound_name,
-                "bound_value": bound_value,
-                "satisfied": est["mean"] <= bound_value + 3.0 * est["stderr"],
-            }
-        )
-
-    def note(est, message):
-        print(f"{est['class_name']}: {message}", file=sys.stderr)
-
-    part1_est = cd1_est = None
     for est in estimates:
-        cls = est["class_name"]
-        if cls == "F":
-            hits = _match(bound_rows, "LEMMA1", B=est["B_radius"], d=est["k"], n=est["n"])
-            if hits:
-                emit(est, "LEMMA1", hits[0]["value"])
-            else:
-                note(est, "no LEMMA1 bound row with matching inputs")
-        elif cls == "G":
-            hits = _match(bound_rows, "REMARK2", W=est["W_radius"], d=est["k"], n=est["n"])
-            if hits:
-                emit(est, "REMARK2", hits[0]["value"])
-            else:
-                note(est, "no REMARK2 bound row with matching inputs")
-        elif cls == "H":
-            lem = _match(bound_rows, "LEMMA1", B=est["B_radius"], d=est["k"], n=est["n"])
-            rem = _match(bound_rows, "REMARK2", W=est["W_radius"], d=est["k"], n=est["n"])
-            if lem and rem:
-                emit(est, "LEMMA1+REMARK2", lem[0]["value"] + rem[0]["value"])
-            else:
-                note(est, "need matching LEMMA1 and REMARK2 bound rows")
-        elif cls == "LOGLIK_PART1":
-            part1_est = part1_est or est
-            hits = _match(
-                bound_rows,
-                "THEOREM1",
-                B=est["B_radius"],
-                W=est["W_radius"],
-                k=est["k"],
-                m=est["m"],
-                n=est["n"],
+        cls = CLASSES.get(est["class_name"])
+        if cls is None or not cls.bounds:
+            print(
+                f"{est['class_name']}: no closed-form comparator; row skipped",
+                file=sys.stderr,
             )
-            if hits:
-                emit(est, "THEOREM1", hits[0]["value"])
-            else:
-                note(est, "no THEOREM1 bound row with matching inputs")
-        elif cls == "FINITE_T":
-            hits = _match(bound_rows, "LEMMA4_FINITE", n=est["n"])
-            if hits:
-                emit(est, "LEMMA4_FINITE", hits[0]["value"])
-            else:
-                note(est, "no LEMMA4_FINITE bound row with matching n")
-        elif cls == "CD1_LOGZ":
-            cd1_est = cd1_est or est
-            hits = _match(
-                bound_rows,
-                "COROLLARY1",
-                W=est["W_radius"],
-                k=est["k"],
-                m=est["m"],
-                n=est["n"],
+            continue
+        choices = []
+        for name in cls.bounds:
+            found = _match(bound_rows, name, est)
+            if not found:
+                print(
+                    f"{est['class_name']}: no {name} bound row with matching inputs",
+                    file=sys.stderr,
+                )
+            # A free input gives one comparison per matching row; otherwise
+            # the first matching row is used.
+            choices.append(found if None in BOUND_KEYS[name].values() else found[:1])
+        for combo in itertools.product(*choices):
+            bound_value = sum(hit["value"] for hit in combo)
+            rows.append(
+                _comparison(est, "+".join(cls.bounds), bound_value, est["stderr"])
             )
-            if not hits:
-                note(est, "no COROLLARY1 bound rows with matching inputs")
-            for hit in hits:
-                emit(est, "COROLLARY1", hit["value"])
-        else:
-            note(est, "no closed-form comparator; row skipped")
 
     # Probe of the abstract's claim: part-1 estimate against part-1 plus the
     # CD-1 log-partition estimate, within combined Monte-Carlo noise.
-    if part1_est is not None and cd1_est is not None:
+    firsts = {}
+    for est in estimates:
+        firsts.setdefault(est["class_name"], est)
+    if "LOGLIK_PART1" in firsts and "CD1_LOGZ" in firsts:
+        part1_est, cd1_est = firsts["LOGLIK_PART1"], firsts["CD1_LOGZ"]
         combined = math.sqrt(part1_est["stderr"] ** 2 + cd1_est["stderr"] ** 2)
         total = part1_est["mean"] + cd1_est["mean"]
-        rows.append(
-            {
-                "class_name": "LOGLIK_PART1",
-                "estimate_mean": part1_est["mean"],
-                "estimate_stderr": combined,
-                "bound_name": "PART1_PLUS_CD1_LOGZ",
-                "bound_value": total,
-                "satisfied": part1_est["mean"] <= total + 3.0 * combined,
-            }
-        )
+        rows.append(_comparison(part1_est, "PART1_PLUS_CD1_LOGZ", total, combined))
 
     fileio.write_comparison_csv(_path(cfg, "comparison.csv"), rows)
     print(f"wrote {_path(cfg, 'comparison.csv')}")

@@ -29,7 +29,6 @@ class ExperimentConfig:
     learning_rate: float = 0.05
     audit_every: int = 1
     num_members: int = 256
-    quant_epsilon: float = 0.05
     members_file: str | None = None
     init_params_file: str | None = None
 
@@ -53,14 +52,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"data_source must be one of {', '.join(DATA_SOURCES)}"
             )
-        if self.quant_epsilon <= 0.0:
-            raise ConfigError("quant_epsilon must be positive")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _INT_KEYS = ("k", "m", "n", "num_sigma", "restarts", "iterations", "seed",
              "epochs", "audit_every", "num_members")
-_FLOAT_KEYS = ("B_radius", "W_radius", "learning_rate", "quant_epsilon")
+_FLOAT_KEYS = ("B_radius", "W_radius", "learning_rate")
 _STR_KEYS = ("data_source", "output_dir", "members_file", "init_params_file")
 
 

@@ -29,6 +29,9 @@ CLASS_NAMES = ("F", "G", "H", "LOGLIK_PART1", "T", "CD1_LOGZ", "FINITE_T")
 SUP_KINDS = ("analytic", "optimized", "finite-max")
 
 _LN2 = math.log(2.0)
+_STEP_SIZE = 0.1  # initial ascent step of every row
+_REL_TOL = 1e-9  # a row retires once an accepted move gains relatively less
+_FD_STEP = 1e-5  # central-difference step of the finite-difference gradient
 _MIN_STEP = 1e-14
 
 
@@ -56,21 +59,12 @@ class OptimizerSettings:
 
     restarts: int = 8
     iterations: int = 500
-    step_size: float = 0.1
-    rel_tol: float = 1e-9
-    fd_step: float = 1e-5
 
     def validate(self) -> None:
         if self.restarts < 4:
             raise ValueError("restarts must be at least 4")
         if self.iterations < 200:
             raise ValueError("iterations must be at least 200")
-        if not (self.step_size > 0.0):
-            raise ValueError("step_size must be positive")
-        if not (self.rel_tol > 0.0):
-            raise ValueError("rel_tol must be positive")
-        if not (self.fd_step > 0.0):
-            raise ValueError("fd_step must be positive")
 
 
 @dataclass
@@ -173,23 +167,23 @@ def project_l1(v, radius: float) -> np.ndarray:
     return _project_l1_rows(v[None, :], radius)[0]
 
 
-def _pga(value_fn, grad_fn, project_fn, Z0: np.ndarray, opt: OptimizerSettings):
+def _pga(value_fn, grad_fn, project_fn, Z0: np.ndarray, iterations: int):
     """Row-batched ascent: each row is an independent restart of a problem.
 
     Callbacks receive the current row block plus the original row indices so
-    they can look up per-row data.  A row moves while the step improves it,
-    halves its step otherwise, and retires once the relative improvement
-    drops below rel_tol or the step underflows.  The best value ever seen
-    per row (including the projected start) is returned, so the result is
-    always attained by a feasible point.
+    they can look up per-row data.  A row moves only when the step improves
+    it, halves its step otherwise, and retires once the relative improvement
+    drops below _REL_TOL or the step underflows.  Since only improving moves
+    are accepted, each row's final value is the best it has seen (including
+    the projected start), so the result is always attained by a feasible
+    point.
     """
     total = Z0.shape[0]
     Z = project_fn(Z0)
     f = value_fn(Z, np.arange(total))
-    best = f.copy()
-    steps = np.full(total, opt.step_size)
+    steps = np.full(total, _STEP_SIZE)
     active = np.ones(total, dtype=bool)
-    for _ in range(opt.iterations):
+    for _ in range(iterations):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
@@ -202,13 +196,12 @@ def _pga(value_fn, grad_fn, project_fn, Z0: np.ndarray, opt: OptimizerSettings):
         moved = idx[improved]
         Z[moved] = cand[improved]
         f[moved] = fc[improved]
-        best[moved] = np.maximum(best[moved], fc[improved])
         rel = (fc[improved] - fa[improved]) / np.maximum(1.0, np.abs(fc[improved]))
-        active[moved[rel < opt.rel_tol]] = False
+        active[moved[rel < _REL_TOL]] = False
         stalled = idx[~improved]
         steps[stalled] *= 0.5
         active[stalled[steps[stalled] < _MIN_STEP]] = False
-    return best
+    return f
 
 
 def _finalize(
@@ -248,40 +241,92 @@ def _check_batch(data: BinaryDataset, batch: RademacherBatch) -> None:
         raise ValueError("sigma vectors must have length n")
 
 
+def _estimate_linear(
+    class_name: str, radius: float, data: BinaryDataset, batch: RademacherBatch
+) -> EstimateReport:
+    # Exact inner sup of the linear class v'x over ||v||_1 <= radius.
+    _check_batch(data, batch)
+    V = batch.sigma_vectors @ data.samples
+    values = radius * np.abs(V).max(axis=1) / data.n
+    return _finalize(class_name, values, batch, "analytic", 0, 0)
+
+
 def estimate_R_F(
     data: BinaryDataset, spec: ConstraintSpec, batch: RademacherBatch
 ) -> EstimateReport:
     """Linear class f(x) = b'x with ||b||_1 <= B; exact inner sup per sigma."""
-    _check_batch(data, batch)
-    V = batch.sigma_vectors @ data.samples
-    values = spec.B_radius * np.abs(V).max(axis=1) / data.n
-    return _finalize("F", values, batch, "analytic", 0, 0)
+    return _estimate_linear("F", spec.B_radius, data, batch)
 
 
 def estimate_R_G(
     data: BinaryDataset, spec: ConstraintSpec, batch: RademacherBatch
 ) -> EstimateReport:
     """Linear class g(x) = w'x with ||w||_1 <= W; c contributes nothing."""
+    return _estimate_linear("G", spec.W_radius, data, batch)
+
+
+def _ascend(
+    class_name: str,
+    data: BinaryDataset,
+    batch: RademacherBatch,
+    opt: OptimizerSettings,
+    m: int,
+    block: int,
+    start_radii: list,
+    value_fn,
+    grad_fn,
+    project_fn,
+    floor,
+) -> EstimateReport:
+    """Multi-restart ascent shared by the optimized classes.
+
+    Sigma vector i owns `block` consecutive rows whose starts come from the
+    stream (seed, i).  `start_radii` lists (radius, count) runs over the
+    coordinates: each start coordinate is uniform in [-radius, radius].
+    value_fn and grad_fn take (Z, sig, slot): a row block, each row's sigma
+    vector and each row's position within its sigma vector's block.  The
+    per-sigma max over the block is floored at `floor`, the objective at a
+    parameter point that is always feasible.
+    """
     _check_batch(data, batch)
-    V = batch.sigma_vectors @ data.samples
-    values = spec.W_radius * np.abs(V).max(axis=1) / data.n
-    return _finalize("G", values, batch, "analytic", 0, 0)
+    opt.validate()
+    if m < 1:
+        raise ValueError("m must be positive")
+    count = batch.sigma_vectors.shape[0]
+    sig_rows = np.repeat(batch.sigma_vectors, block, axis=0)
+    radii, counts = zip(*start_radii)
+    radius = np.repeat(radii, counts)
+    starts = []
+    for i in range(count):
+        rng = np.random.default_rng([batch.seed, i])
+        starts.append(rng.uniform(-1.0, 1.0, size=(block, radius.size)) * radius)
+    best = _pga(
+        lambda Z, idx: value_fn(Z, sig_rows[idx], idx % block),
+        lambda Z, idx: grad_fn(Z, sig_rows[idx], idx % block),
+        project_fn,
+        np.concatenate(starts, axis=0),
+        opt.iterations,
+    )
+    values = np.maximum(best.reshape(count, block).max(axis=1), floor)
+    return _finalize(
+        class_name, values, batch, "optimized", opt.restarts, opt.iterations
+    )
 
 
-def _part1_value_rows(Z, X, sig_rows, lin_rows, m: int) -> np.ndarray:
+def _part1_value_rows(Z, X, sig_rows, m: int) -> np.ndarray:
     # Row r holds [b | w_1 .. w_m]; objective (m b'(sig X) + sig'softplus)/n.
     n, k = X.shape
     b = Z[:, :k]
     W_cols = Z[:, k:].reshape(Z.shape[0], m, k)
-    lin = m * np.einsum("rk,rk->r", b, lin_rows)
+    lin = m * np.einsum("rk,rk->r", b, sig_rows @ X)
     act = softplus(np.einsum("rjk,nk->rjn", W_cols, X))
     return (lin + np.einsum("rjn,rn->r", act, sig_rows)) / n
 
 
-def _part1_grad_rows(Z, X, sig_rows, lin_rows, m: int) -> np.ndarray:
+def _part1_grad_rows(Z, X, sig_rows, m: int) -> np.ndarray:
     n, k = X.shape
     W_cols = Z[:, k:].reshape(Z.shape[0], m, k)
-    gb = m * lin_rows
+    gb = m * (sig_rows @ X)
     P = sigmoid(np.einsum("rjk,nk->rjn", W_cols, X))
     gw = (P * sig_rows[:, None, :]) @ X
     return np.concatenate([gb, gw.reshape(Z.shape[0], m * k)], axis=1) / n
@@ -292,7 +337,7 @@ def part1_objective(z, X, sig, m: int) -> float:
     X = np.asarray(X, dtype=float)
     Z = np.asarray(z, dtype=float).reshape(1, -1)
     sig_rows = np.asarray(sig, dtype=float).reshape(1, -1)
-    return float(_part1_value_rows(Z, X, sig_rows, sig_rows @ X, m)[0])
+    return float(_part1_value_rows(Z, X, sig_rows, m)[0])
 
 
 def part1_gradient(z, X, sig, m: int) -> np.ndarray:
@@ -300,7 +345,7 @@ def part1_gradient(z, X, sig, m: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     Z = np.asarray(z, dtype=float).reshape(1, -1)
     sig_rows = np.asarray(sig, dtype=float).reshape(1, -1)
-    return _part1_grad_rows(Z, X, sig_rows, sig_rows @ X, m)[0]
+    return _part1_grad_rows(Z, X, sig_rows, m)[0]
 
 
 def _part1_family(
@@ -312,33 +357,8 @@ def _part1_family(
     opt: OptimizerSettings,
 ) -> EstimateReport:
     # Shared class: x -> m b'x + sum_j ln(1 + exp(w_j'x)); H is the m = 1 case.
-    _check_batch(data, batch)
-    opt.validate()
-    if m < 1:
-        raise ValueError("m must be positive")
     X = data.samples
     n, k = X.shape
-    count = batch.sigma_vectors.shape[0]
-    restarts = opt.restarts
-    dim = (m + 1) * k
-
-    sig_rows = np.repeat(batch.sigma_vectors, restarts, axis=0)
-    lin_rows = sig_rows @ X
-
-    starts = []
-    for i in range(count):
-        rng = np.random.default_rng([batch.seed, i])
-        draw = rng.uniform(-1.0, 1.0, size=(restarts, dim))
-        draw[:, :k] *= spec.B_radius
-        draw[:, k:] *= spec.W_radius
-        starts.append(draw)
-    Z0 = np.concatenate(starts, axis=0)
-
-    def value_fn(Z, idx):
-        return _part1_value_rows(Z, X, sig_rows[idx], lin_rows[idx], m)
-
-    def grad_fn(Z, idx):
-        return _part1_grad_rows(Z, X, sig_rows[idx], lin_rows[idx], m)
 
     def project_fn(Z):
         b = _project_l1_rows(Z[:, :k], spec.B_radius)
@@ -347,14 +367,16 @@ def _part1_family(
         ).reshape(Z.shape[0], m * k)
         return np.concatenate([b, w], axis=1)
 
-    best = _pga(value_fn, grad_fn, project_fn, Z0, opt)
-    per_sigma = best.reshape(count, restarts).max(axis=1)
-    # The zero parameter point is always feasible; the reported sup must
-    # dominate its objective m ln2 (sum_i sigma_i) / n.
-    zero_vals = m * _LN2 * batch.sigma_vectors.sum(axis=1) / n
-    values = np.maximum(per_sigma, zero_vals)
-    return _finalize(
-        class_name, values, batch, "optimized", opt.restarts, opt.iterations
+    return _ascend(
+        class_name, data, batch, opt, m,
+        block=opt.restarts,
+        start_radii=[(spec.B_radius, k), (spec.W_radius, m * k)],
+        value_fn=lambda Z, sig, slot: _part1_value_rows(Z, X, sig, m),
+        grad_fn=lambda Z, sig, slot: _part1_grad_rows(Z, X, sig, m),
+        project_fn=project_fn,
+        # The zero parameter point is always feasible; the reported sup must
+        # dominate its objective m ln2 (sum_i sigma_i) / n.
+        floor=m * _LN2 * batch.sigma_vectors.sum(axis=1) / n,
     )
 
 
@@ -388,14 +410,14 @@ def t_value(W, u: int, j: int, X) -> np.ndarray:
     return W[u, j] * mid
 
 
-def _fd_gradient(value_fn, Z, idx, fd_step):
+def _fd_gradient(value_fn, Z, sig, slot):
     grad = np.empty_like(Z)
     for q in range(Z.shape[1]):
         shift = np.zeros(Z.shape[1])
-        shift[q] = fd_step
-        grad[:, q] = (value_fn(Z + shift, idx) - value_fn(Z - shift, idx)) / (
-            2.0 * fd_step
-        )
+        shift[q] = _FD_STEP
+        grad[:, q] = (
+            value_fn(Z + shift, sig, slot) - value_fn(Z - shift, sig, slot)
+        ) / (2.0 * _FD_STEP)
     return grad
 
 
@@ -419,47 +441,32 @@ def estimate_R_T(
     Each (u, j) gets its own multi-restart ascent over W (every column inside
     the l1 ball); gradients are central finite differences.
     """
-    _check_batch(data, batch)
-    opt.validate()
-    if m < 1:
-        raise ValueError("m must be positive")
     X = data.samples
     n, k = X.shape
-    count = batch.sigma_vectors.shape[0]
     restarts = opt.restarts
-    pairs = [(u, j) for u in range(k) for j in range(m)]
-    block = len(pairs) * restarts
-    dim = k * m
+    # A sigma vector's block runs through the pairs (u, j) in row-major
+    # order, with `restarts` consecutive rows per pair.
+    pair = np.arange(k * m * restarts) // restarts
+    U, J = pair // m, pair % m
 
-    sig_rows = np.repeat(batch.sigma_vectors, block, axis=0)
-    U = np.tile(np.repeat([u for u, _ in pairs], restarts), count)
-    J = np.tile(np.repeat([j for _, j in pairs], restarts), count)
-
-    starts = []
-    for i in range(count):
-        rng = np.random.default_rng([batch.seed, i])
-        starts.append(rng.uniform(-1.0, 1.0, size=(block, dim)) * spec.W_radius)
-    Z0 = np.concatenate(starts, axis=0)
-
-    def value_fn(Z, idx):
+    def value_fn(Z, sig, slot):
         W_cube = Z.reshape(Z.shape[0], k, m)
         rows = np.arange(Z.shape[0])
         s = sigmoid(np.einsum("nk,rkm->rnm", X, W_cube))
-        mid = sigmoid(np.einsum("rnm,rm->rn", s, W_cube[rows, U[idx], :]))
-        t_vals = W_cube[rows, U[idx], J[idx]][:, None] * mid
-        return np.einsum("rn,rn->r", t_vals, sig_rows[idx]) / n
+        mid = sigmoid(np.einsum("rnm,rm->rn", s, W_cube[rows, U[slot], :]))
+        t_vals = W_cube[rows, U[slot], J[slot]][:, None] * mid
+        return np.einsum("rn,rn->r", t_vals, sig) / n
 
-    def grad_fn(Z, idx):
-        return _fd_gradient(value_fn, Z, idx, opt.fd_step)
-
-    def project_fn(Z):
-        return _project_columns(Z, k, m, spec.W_radius)
-
-    best = _pga(value_fn, grad_fn, project_fn, Z0, opt)
-    per_sigma = best.reshape(count, block).max(axis=1)
-    # W = 0 is feasible and gives t identically 0.
-    values = np.maximum(per_sigma, 0.0)
-    return _finalize("T", values, batch, "optimized", opt.restarts, opt.iterations)
+    return _ascend(
+        "T", data, batch, opt, m,
+        block=k * m * restarts,
+        start_radii=[(spec.W_radius, k * m)],
+        value_fn=value_fn,
+        grad_fn=lambda Z, sig, slot: _fd_gradient(value_fn, Z, sig, slot),
+        project_fn=lambda Z: _project_columns(Z, k, m, spec.W_radius),
+        # W = 0 is feasible and gives t identically 0.
+        floor=0.0,
+    )
 
 
 def estimate_R_cd1_logZ(
@@ -470,43 +477,25 @@ def estimate_R_cd1_logZ(
     opt: OptimizerSettings = OptimizerSettings(),
 ) -> EstimateReport:
     """Class x -> CD-1 approximate ln Z, optimized over column-bounded W."""
-    _check_batch(data, batch)
-    opt.validate()
-    if m < 1:
-        raise ValueError("m must be positive")
     X = data.samples
     n, k = X.shape
-    count = batch.sigma_vectors.shape[0]
-    restarts = opt.restarts
-    dim = k * m
 
-    sig_rows = np.repeat(batch.sigma_vectors, restarts, axis=0)
-
-    starts = []
-    for i in range(count):
-        rng = np.random.default_rng([batch.seed, i])
-        starts.append(rng.uniform(-1.0, 1.0, size=(restarts, dim)) * spec.W_radius)
-    Z0 = np.concatenate(starts, axis=0)
-
-    def value_fn(Z, idx):
+    def value_fn(Z, sig, slot):
         W_cube = Z.reshape(Z.shape[0], k, m)
         s = sigmoid(np.einsum("nk,rkm->rnm", X, W_cube))
         x_tilde = sigmoid(np.einsum("rnm,rkm->rnk", s, W_cube))
         act = softplus(np.einsum("rnk,rkm->rnm", x_tilde, W_cube)).sum(axis=2)
-        return np.einsum("rn,rn->r", act, sig_rows[idx]) / n
+        return np.einsum("rn,rn->r", act, sig) / n
 
-    def grad_fn(Z, idx):
-        return _fd_gradient(value_fn, Z, idx, opt.fd_step)
-
-    def project_fn(Z):
-        return _project_columns(Z, k, m, spec.W_radius)
-
-    best = _pga(value_fn, grad_fn, project_fn, Z0, opt)
-    per_sigma = best.reshape(count, restarts).max(axis=1)
-    zero_vals = m * _LN2 * batch.sigma_vectors.sum(axis=1) / n
-    values = np.maximum(per_sigma, zero_vals)
-    return _finalize(
-        "CD1_LOGZ", values, batch, "optimized", opt.restarts, opt.iterations
+    return _ascend(
+        "CD1_LOGZ", data, batch, opt, m,
+        block=opt.restarts,
+        start_radii=[(spec.W_radius, k * m)],
+        value_fn=value_fn,
+        grad_fn=lambda Z, sig, slot: _fd_gradient(value_fn, Z, sig, slot),
+        project_fn=lambda Z: _project_columns(Z, k, m, spec.W_radius),
+        # W = 0 is feasible and gives the value m ln2 at every x.
+        floor=m * _LN2 * batch.sigma_vectors.sum(axis=1) / n,
     )
 
 

@@ -18,10 +18,6 @@ MAX_VISIBLE_ENUM = 20
 MAX_HIDDEN_ENUM = 20
 MAX_JOINT_ENUM = 24
 
-# Perturbation added to free_energy_part1, used only by fault-injection
-# tests to prove the verification suite catches a broken factorization.
-PART1_FAULT_OFFSET = 0.0
-
 
 class EnumerationLimitError(ValueError):
     """Raised when a requested enumeration exceeds the size guards."""
@@ -158,7 +154,7 @@ def free_energy_part1(params: RbmParams, x) -> float:
     """
     xv = _check_binary_vector(x, params.k, "x")
     value = xv @ params.b + softplus(xv @ params.W + params.c).sum()
-    return float(value + PART1_FAULT_OFFSET)
+    return float(value)
 
 
 def part1_bruteforce(params: RbmParams, x) -> float:
@@ -175,8 +171,7 @@ def part1_bruteforce(params: RbmParams, x) -> float:
 
 
 def _part1_all_configs(params: RbmParams, X: np.ndarray) -> np.ndarray:
-    # Vectorized factorized part 1 over rows of X; no fault hook so the
-    # injected perturbation stays confined to free_energy_part1 itself.
+    # Vectorized factorized part 1 over rows of X.
     return X @ params.b + softplus(X @ params.W + params.c).sum(axis=1)
 
 

@@ -102,7 +102,7 @@ def suite_projection(seed: int = 0) -> SuiteResult:
 
 
 def suite_gradient(seed: int = 0) -> SuiteResult:
-    """Analytic part-1-family gradients against central differences."""
+    """rademacher.part1_gradient against central differences of part1_objective."""
     rng = np.random.default_rng([seed, 5])
     checks = failures = 0
     for _ in range(25):
@@ -112,25 +112,15 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
         X = rng.integers(0, 2, size=(n, k)).astype(float)
         sig = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
         z = rng.uniform(-1.0, 1.0, size=(m + 1) * k)
-
-        def objective(vec):
-            b, W_cols = vec[:k], vec[k:].reshape(m, k)
-            lin = m * float(sig @ X @ b)
-            return (
-                lin + float(sig @ rbm.softplus(X @ W_cols.T).sum(axis=1))
-            ) / n
-
-        analytic = np.concatenate(
-            [
-                m * (sig @ X),
-                ((rbm.sigmoid(z[k:].reshape(m, k) @ X.T) * sig) @ X).ravel(),
-            ]
-        ) / n
+        analytic = rademacher.part1_gradient(z, X, sig, m)
         fd = np.empty_like(z)
         for q in range(z.size):
             shift = np.zeros(z.size)
             shift[q] = 1e-5
-            fd[q] = (objective(z + shift) - objective(z - shift)) / 2e-5
+            fd[q] = (
+                rademacher.part1_objective(z + shift, X, sig, m)
+                - rademacher.part1_objective(z - shift, X, sig, m)
+            ) / 2e-5
         # denominator floored at 1: zero-gradient instances otherwise divide
         # finite-difference ulp noise by an arbitrary tiny constant
         rel = np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))

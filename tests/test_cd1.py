@@ -118,34 +118,34 @@ class TestGradientStep:
     def test_zero_learning_rate(self, rng):
         p = bias_free(rng, 3, 2)
         batch = rr.BinaryDataset(rng.integers(0, 2, (8, 3)).astype(float))
-        out = rr.cd1_gradient_step(p, batch, 0.0, 1)
+        out = rr.cd1_gradient_step(p, batch, 0.0)
         assert np.array_equal(out.W, p.W)
 
     def test_zero_weight_statistics(self):
         p = rr.RbmParams(W=np.zeros((2, 2)), b=np.zeros(2), c=np.zeros(2))
         batch = rr.BinaryDataset(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        out = rr.cd1_gradient_step(p, batch, 1.0, 0)
+        out = rr.cd1_gradient_step(p, batch, 1.0)
         expected = 0.5 * batch.samples.mean(axis=0)[:, None] - 0.25
         assert np.allclose(out.W, expected, atol=1e-15)
 
     def test_zero_weight_fixed_point(self):
         p = rr.RbmParams(W=np.zeros((2, 1)), b=np.zeros(2), c=np.zeros(1))
         batch = rr.BinaryDataset(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out = rr.cd1_gradient_step(p, batch, 0.7, 0)
+        out = rr.cd1_gradient_step(p, batch, 0.7)
         assert np.array_equal(out.W, np.zeros((2, 1)))
 
     def test_determinism(self, rng):
         p = bias_free(rng, 4, 3)
         batch = rr.BinaryDataset(rng.integers(0, 2, (16, 4)).astype(float))
-        a = rr.cd1_gradient_step(p, batch, 0.1, 42)
-        b = rr.cd1_gradient_step(p, batch, 0.1, 42)
+        a = rr.cd1_gradient_step(p, batch, 0.1)
+        b = rr.cd1_gradient_step(p, batch, 0.1)
         assert np.array_equal(a.W, b.W)
 
     def test_negative_learning_rate_rejected(self, rng):
         p = bias_free(rng, 2, 2)
         batch = rr.BinaryDataset(np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            rr.cd1_gradient_step(p, batch, -0.1, 0)
+            rr.cd1_gradient_step(p, batch, -0.1)
 
 
 class TestTrainCd1:

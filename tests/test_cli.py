@@ -8,6 +8,7 @@ import pytest
 
 import rbmrad as rr
 from rbmrad import cli, fileio
+from rbmrad import rademacher as rad_mod
 from rbmrad import rbm as rbm_mod
 
 FAST_CFG = """
@@ -136,11 +137,18 @@ class TestCompare:
     def test_missing_bounds_exits_4(self, tmp_path):
         assert run("compare", "--out", str(tmp_path)) == 4
 
-    def test_pipeline_rows_and_pair_probe(self, tmp_path, fast_cfg_path):
+    def test_every_class_has_a_table_entry(self):
+        assert set(cli.CLASSES) == set(rad_mod.CLASS_NAMES)
+        for entry in cli.CLASSES.values():
+            assert set(entry.bounds) <= set(cli.BOUND_KEYS)
+
+    def test_pipeline_rows_and_pair_probe(self, tmp_path, fast_cfg_path, capsys):
         out = tmp_path / "out"
         run("gen-data", "--config", fast_cfg_path, "--out", str(out))
         run("bounds", "--config", fast_cfg_path, "--out", str(out))
-        for cls in ("F", "G", "H", "LOGLIK_PART1", "CD1_LOGZ"):
+        members = rr.generate_members(4, 2, 6, 1.0, 21)
+        fileio.write_members(out / "members.txt", members)
+        for cls in rad_mod.CLASS_NAMES:
             assert run(
                 "estimate", cls, "--config", fast_cfg_path, "--out", str(out)
             ) == 0
@@ -148,8 +156,12 @@ class TestCompare:
         rows = fileio.read_comparison_csv(out / "comparison.csv")
         by_bound = {row["bound_name"] for row in rows}
         assert {"LEMMA1", "REMARK2", "LEMMA1+REMARK2", "THEOREM1",
-                "COROLLARY1", "PART1_PLUS_CD1_LOGZ"} <= by_bound
+                "COROLLARY1", "LEMMA4_FINITE", "PART1_PLUS_CD1_LOGZ"} <= by_bound
         assert sum(r["bound_name"] == "COROLLARY1" for r in rows) == 4
+        finite = [r for r in rows if r["class_name"] == "FINITE_T"]
+        assert [r["bound_name"] for r in finite] == ["LEMMA4_FINITE"]
+        assert not any(r["class_name"] == "T" for r in rows)
+        assert "T: no closed-form comparator" in capsys.readouterr().err
         assert all(row["satisfied"] == "true" for row in rows)
         pair = next(r for r in rows if r["bound_name"] == "PART1_PLUS_CD1_LOGZ")
         part1 = fileio.read_estimate_csv(out / "estimate_LOGLIK_PART1.csv")[0]
@@ -190,10 +202,22 @@ class TestVerify:
         assert captured.count("[ok]") == 7
 
     def test_injected_fault_caught(self, monkeypatch, capsys):
-        monkeypatch.setattr(rbm_mod, "PART1_FAULT_OFFSET", 1e-3)
+        exact = rbm_mod.free_energy_part1
+        monkeypatch.setattr(
+            rbm_mod, "free_energy_part1", lambda params, x: exact(params, x) + 1e-3
+        )
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
         assert "failed suites: factorization" in captured
+
+    def test_broken_ascent_gradient_caught(self, monkeypatch, capsys):
+        exact = rad_mod._part1_grad_rows
+        monkeypatch.setattr(
+            rad_mod, "_part1_grad_rows", lambda *args: exact(*args) + 1e-3
+        )
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: gradient" in captured
 
 
 class TestInstalledScript:
