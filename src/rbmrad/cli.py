@@ -80,46 +80,40 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
 
 def cmd_bounds(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
-    reports = []
-    skipped = 0
+    reports, skipped = [], []
 
-    def add(name, compute, inputs):
-        nonlocal skipped
+    def skip(name, reason):
+        skipped.append(name)
+        print(f"skipping {name}: {reason}", file=sys.stderr)
+
+    def add(name, bound, **inputs):
+        # Each bound's parameters are named after its inputs.
         try:
-            reports.append(bc.BoundReport(name, compute(), inputs))
+            reports.append(bc.BoundReport(name, bound(**inputs), inputs))
         except ValueError as exc:
-            skipped += 1
-            print(f"skipping {name}: {exc}", file=sys.stderr)
+            skip(name, exc)
 
     B, W, k, m, n = cfg.B_radius, cfg.W_radius, cfg.k, cfg.m, cfg.n
-    ln_card = math.log(cfg.num_members)
-    add("LEMMA1", lambda: bc.bound_lemma1(B, k, n), {"B": B, "d": k, "n": n})
-    add("REMARK2", lambda: bc.bound_remark2(W, k, n), {"W": W, "d": k, "n": n})
-    add(
-        "THEOREM1",
-        lambda: bc.bound_theorem1(B, W, k, m, n),
-        {"B": B, "W": W, "k": k, "m": m, "n": n},
-    )
-    add(
-        "LEMMA4_FINITE",
-        lambda: bc.bound_lemma4_finite(W, ln_card, n),
-        {"W": W, "ln_card_T": ln_card, "n": n},
-    )
+    add("LEMMA1", bc.bound_lemma1, B=B, d=k, n=n)
+    add("REMARK2", bc.bound_remark2, W=W, d=k, n=n)
+    add("THEOREM1", bc.bound_theorem1, B=B, W=W, k=k, m=m, n=n)
+    # LEMMA4_FINITE holds for the members FINITE_T is estimated on: |T| is
+    # their count and the largest |t| their largest column l1 norm.
+    try:
+        members = _members(cfg)
+    except FileNotFoundError as exc:
+        skip("LEMMA4_FINITE", f"no members file {exc.filename}")
+    else:
+        t_max = max(float(np.abs(Wt).sum(axis=0).max()) for Wt, _, _ in members)
+        ln_card = math.log(len(members))
+        add("LEMMA4_FINITE", bc.bound_lemma4_finite, W=t_max, ln_card_T=ln_card, n=n)
     for vc in cfg.vc_values:
-        add(
-            "SAUER_SHELAH",
-            lambda vc=vc: bc.sauer_shelah_ln_card(vc, n),
-            {"vc": vc, "n": n},
-        )
-        add(
-            "COROLLARY1",
-            lambda vc=vc: bc.bound_corollary1(W, k, m, n, vc),
-            {"W": W, "k": k, "m": m, "n": n, "vc": vc},
-        )
+        add("SAUER_SHELAH", bc.sauer_shelah_ln_card, vc=vc, n=n)
+        add("COROLLARY1", bc.bound_corollary1, W=W, k=k, m=m, n=n, vc=vc)
     fileio.write_bounds_csv(_path(cfg, "bounds.csv"), reports)
     print(f"wrote {_path(cfg, 'bounds.csv')}")
     if skipped:
-        print(f"skipped {skipped} row(s) with invalid inputs", file=sys.stderr)
+        print(f"skipped {len(skipped)} row(s)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -361,17 +355,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg)
-        if args.command == "bounds":
-            return cmd_bounds(cfg)
         if args.command == "estimate":
             return cmd_estimate(cfg, args.class_name)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        return cmd_verify(cfg)
+        commands = {"gen-data": cmd_gen_data, "bounds": cmd_bounds,
+                    "compare": cmd_compare, "train": cmd_train, "verify": cmd_verify}
+        return commands[args.command](cfg)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -382,3 +370,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

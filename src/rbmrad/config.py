@@ -28,13 +28,12 @@ class ExperimentConfig:
     epochs: int = 200
     learning_rate: float = 0.05
     audit_every: int = 1
-    num_members: int = 256
     members_file: str | None = None
     init_params_file: str | None = None
 
     def validate(self) -> None:
         for name in ("k", "m", "n", "num_sigma", "restarts", "iterations",
-                     "audit_every", "num_members"):
+                     "audit_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         for name in ("B_radius", "W_radius", "learning_rate"):
@@ -56,7 +55,7 @@ class ExperimentConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _INT_KEYS = ("k", "m", "n", "num_sigma", "restarts", "iterations", "seed",
-             "epochs", "audit_every", "num_members")
+             "epochs", "audit_every")
 _FLOAT_KEYS = ("B_radius", "W_radius", "learning_rate")
 _STR_KEYS = ("data_source", "output_dir", "members_file", "init_params_file")
 

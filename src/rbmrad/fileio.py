@@ -2,10 +2,14 @@
 
 All real numbers are written with 17 significant digits so that every file
 round-trips to the exact float64 value and reruns with identical inputs
-produce byte-identical output.
+produce byte-identical output.  Every write goes to a temporary file first
+and is renamed into place, so an interrupted run leaves the previous file
+or none, never a truncated one.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -41,6 +45,18 @@ def _fmt_field(value) -> str:
     return fmt_real(value)
 
 
+def _write_lines(path, lines) -> None:
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _parse_tagged(token: str, tag: str) -> int:
     prefix = tag + "="
     if not token.startswith(prefix):
@@ -52,8 +68,7 @@ def write_dataset(path, data: BinaryDataset) -> None:
     lines = [f"k={data.k} n={data.n}"]
     for row in data.samples:
         lines.append(" ".join("1" if v else "0" for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_dataset(path) -> BinaryDataset:
@@ -81,8 +96,7 @@ def write_params(path, params: RbmParams) -> None:
         lines.append(" ".join(fmt_real(v) for v in row))
     lines.append(" ".join(fmt_real(v) for v in params.b))
     lines.append(" ".join(fmt_real(v) for v in params.c))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_params(path) -> RbmParams:
@@ -114,8 +128,7 @@ def write_members(path, members) -> None:
         lines.append(f"u={u} j={j}")
         for row in W:
             lines.append(" ".join(fmt_real(v) for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_members(path) -> list:
@@ -151,8 +164,7 @@ def _write_csv(path, header: str, rows) -> None:
     columns = header.split(",")
     for row in rows:
         lines.append(",".join(_fmt_field(row.get(col)) for col in columns))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _read_csv(path) -> list[dict]:

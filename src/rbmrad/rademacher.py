@@ -7,7 +7,9 @@ supremum (an l1/l-infinity duality); the nonlinear classes use multi-restart
 projected gradient ascent, which only ever reports values of feasible
 points, so every estimate is a certified lower bound of the true supremum.
 That is the safe direction when estimates are compared against upper
-bounds.
+bounds.  The part-1 family (H, LOGLIK_PART1) bounds b and each w_j by
+separate balls, so its bias term takes the closed-form sup of F and its m
+hidden units share one k-dimensional ascent over w.
 
 Per-sigma work is independent: sigma index i always draws its optimizer
 randomness from the stream (master seed, i), so results do not depend on
@@ -19,7 +21,7 @@ each row's trajectory identical to a serial run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +57,7 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Projected-gradient-ascent controls shared by the nonlinear classers."""
+    """Projected-gradient-ascent controls shared by the nonlinear classes."""
 
     restarts: int = 8
     iterations: int = 500
@@ -241,13 +243,18 @@ def _check_batch(data: BinaryDataset, batch: RademacherBatch) -> None:
         raise ValueError("sigma vectors must have length n")
 
 
+def _linear_values(data: BinaryDataset, batch: RademacherBatch, radius: float):
+    # Exact inner sup of the linear class v'x over ||v||_1 <= radius, per
+    # sigma vector: radius * ||X'sigma||_inf / n.
+    V = batch.sigma_vectors @ data.samples
+    return radius * np.abs(V).max(axis=1) / data.n
+
+
 def _estimate_linear(
     class_name: str, radius: float, data: BinaryDataset, batch: RademacherBatch
 ) -> EstimateReport:
-    # Exact inner sup of the linear class v'x over ||v||_1 <= radius.
     _check_batch(data, batch)
-    V = batch.sigma_vectors @ data.samples
-    values = radius * np.abs(V).max(axis=1) / data.n
+    values = _linear_values(data, batch, radius)
     return _finalize(class_name, values, batch, "analytic", 0, 0)
 
 
@@ -266,27 +273,26 @@ def estimate_R_G(
 
 
 def _ascend(
-    class_name: str,
     data: BinaryDataset,
     batch: RademacherBatch,
     opt: OptimizerSettings,
     m: int,
     block: int,
-    start_radii: list,
+    dim: int,
+    radius: float,
     value_fn,
     grad_fn,
     project_fn,
     floor,
-) -> EstimateReport:
+) -> np.ndarray:
     """Multi-restart ascent shared by the optimized classes.
 
-    Sigma vector i owns `block` consecutive rows whose starts come from the
-    stream (seed, i).  `start_radii` lists (radius, count) runs over the
-    coordinates: each start coordinate is uniform in [-radius, radius].
+    Sigma vector i owns `block` consecutive rows of `dim` coordinates whose
+    starts come from the stream (seed, i), each uniform in [-radius, radius].
     value_fn and grad_fn take (Z, sig, slot): a row block, each row's sigma
     vector and each row's position within its sigma vector's block.  The
     per-sigma max over the block is floored at `floor`, the objective at a
-    parameter point that is always feasible.
+    parameter point that is always feasible, and returned per sigma vector.
     """
     _check_batch(data, batch)
     opt.validate()
@@ -294,12 +300,10 @@ def _ascend(
         raise ValueError("m must be positive")
     count = batch.sigma_vectors.shape[0]
     sig_rows = np.repeat(batch.sigma_vectors, block, axis=0)
-    radii, counts = zip(*start_radii)
-    radius = np.repeat(radii, counts)
     starts = []
     for i in range(count):
         rng = np.random.default_rng([batch.seed, i])
-        starts.append(rng.uniform(-1.0, 1.0, size=(block, radius.size)) * radius)
+        starts.append(rng.uniform(-1.0, 1.0, size=(block, dim)) * radius)
     best = _pga(
         lambda Z, idx: value_fn(Z, sig_rows[idx], idx % block),
         lambda Z, idx: grad_fn(Z, sig_rows[idx], idx % block),
@@ -307,45 +311,32 @@ def _ascend(
         np.concatenate(starts, axis=0),
         opt.iterations,
     )
-    values = np.maximum(best.reshape(count, block).max(axis=1), floor)
-    return _finalize(
-        class_name, values, batch, "optimized", opt.restarts, opt.iterations
-    )
+    return np.maximum(best.reshape(count, block).max(axis=1), floor)
 
 
-def _part1_value_rows(Z, X, sig_rows, m: int) -> np.ndarray:
-    # Row r holds [b | w_1 .. w_m]; objective (m b'(sig X) + sig'softplus)/n.
-    n, k = X.shape
-    b = Z[:, :k]
-    W_cols = Z[:, k:].reshape(Z.shape[0], m, k)
-    lin = m * np.einsum("rk,rk->r", b, sig_rows @ X)
-    act = softplus(np.einsum("rjk,nk->rjn", W_cols, X))
-    return (lin + np.einsum("rjn,rn->r", act, sig_rows)) / n
+def _part1_value_rows(Z, X, sig_rows) -> np.ndarray:
+    # Row r holds one hidden unit's w; objective sig'softplus(X w) / n.
+    return np.einsum("rn,rn->r", softplus(Z @ X.T), sig_rows) / X.shape[0]
 
 
-def _part1_grad_rows(Z, X, sig_rows, m: int) -> np.ndarray:
-    n, k = X.shape
-    W_cols = Z[:, k:].reshape(Z.shape[0], m, k)
-    gb = m * (sig_rows @ X)
-    P = sigmoid(np.einsum("rjk,nk->rjn", W_cols, X))
-    gw = (P * sig_rows[:, None, :]) @ X
-    return np.concatenate([gb, gw.reshape(Z.shape[0], m * k)], axis=1) / n
+def _part1_grad_rows(Z, X, sig_rows) -> np.ndarray:
+    return (sigmoid(Z @ X.T) * sig_rows) @ X / X.shape[0]
 
 
 def part1_objective(z, X, sig, m: int) -> float:
     """Objective of the part-1 family at one flat point z = [b | w_1 .. w_m]."""
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(z, dtype=float).reshape(1, -1)
-    sig_rows = np.asarray(sig, dtype=float).reshape(1, -1)
-    return float(_part1_value_rows(Z, X, sig_rows, m)[0])
+    z, X, sig = (np.asarray(a, dtype=float) for a in (z, X, sig))
+    n, k = X.shape
+    w_values = _part1_value_rows(z[k:].reshape(m, k), X, np.tile(sig, (m, 1)))
+    return float(m * (z[:k] @ (sig @ X)) / n + w_values.sum())
 
 
 def part1_gradient(z, X, sig, m: int) -> np.ndarray:
     """Analytic gradient of part1_objective, same layout as z."""
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(z, dtype=float).reshape(1, -1)
-    sig_rows = np.asarray(sig, dtype=float).reshape(1, -1)
-    return _part1_grad_rows(Z, X, sig_rows, m)[0]
+    z, X, sig = (np.asarray(a, dtype=float) for a in (z, X, sig))
+    n, k = X.shape
+    gw = _part1_grad_rows(z[k:].reshape(m, k), X, np.tile(sig, (m, 1)))
+    return np.concatenate([m * (sig @ X) / n, gw.ravel()])
 
 
 def _part1_family(
@@ -357,26 +348,24 @@ def _part1_family(
     opt: OptimizerSettings,
 ) -> EstimateReport:
     # Shared class: x -> m b'x + sum_j ln(1 + exp(w_j'x)); H is the m = 1 case.
+    # The balls on b and on each w_j are separate, so the value m (linear sup
+    # + best w) is attained at b = B sign(v_q) e_q, w_1 = .. = w_m = w*.
     X = data.samples
     n, k = X.shape
-
-    def project_fn(Z):
-        b = _project_l1_rows(Z[:, :k], spec.B_radius)
-        w = _project_l1_rows(
-            Z[:, k:].reshape(-1, k), spec.W_radius
-        ).reshape(Z.shape[0], m * k)
-        return np.concatenate([b, w], axis=1)
-
-    return _ascend(
-        class_name, data, batch, opt, m,
+    best_w = _ascend(
+        data, batch, opt, m,
         block=opt.restarts,
-        start_radii=[(spec.B_radius, k), (spec.W_radius, m * k)],
-        value_fn=lambda Z, sig, slot: _part1_value_rows(Z, X, sig, m),
-        grad_fn=lambda Z, sig, slot: _part1_grad_rows(Z, X, sig, m),
-        project_fn=project_fn,
-        # The zero parameter point is always feasible; the reported sup must
-        # dominate its objective m ln2 (sum_i sigma_i) / n.
-        floor=m * _LN2 * batch.sigma_vectors.sum(axis=1) / n,
+        dim=k,
+        radius=spec.W_radius,
+        value_fn=lambda Z, sig, slot: _part1_value_rows(Z, X, sig),
+        grad_fn=lambda Z, sig, slot: _part1_grad_rows(Z, X, sig),
+        project_fn=lambda Z: _project_l1_rows(Z, spec.W_radius),
+        # w = 0 is always feasible; its objective is ln2 (sum_i sigma_i) / n.
+        floor=_LN2 * batch.sigma_vectors.sum(axis=1) / n,
+    )
+    values = m * (_linear_values(data, batch, spec.B_radius) + best_w)
+    return _finalize(
+        class_name, values, batch, "optimized", opt.restarts, opt.iterations
     )
 
 
@@ -457,16 +446,18 @@ def estimate_R_T(
         t_vals = W_cube[rows, U[slot], J[slot]][:, None] * mid
         return np.einsum("rn,rn->r", t_vals, sig) / n
 
-    return _ascend(
-        "T", data, batch, opt, m,
+    values = _ascend(
+        data, batch, opt, m,
         block=k * m * restarts,
-        start_radii=[(spec.W_radius, k * m)],
+        dim=k * m,
+        radius=spec.W_radius,
         value_fn=value_fn,
         grad_fn=lambda Z, sig, slot: _fd_gradient(value_fn, Z, sig, slot),
         project_fn=lambda Z: _project_columns(Z, k, m, spec.W_radius),
         # W = 0 is feasible and gives t identically 0.
         floor=0.0,
     )
+    return _finalize("T", values, batch, "optimized", opt.restarts, opt.iterations)
 
 
 def estimate_R_cd1_logZ(
@@ -487,15 +478,19 @@ def estimate_R_cd1_logZ(
         act = softplus(np.einsum("rnk,rkm->rnm", x_tilde, W_cube)).sum(axis=2)
         return np.einsum("rn,rn->r", act, sig) / n
 
-    return _ascend(
-        "CD1_LOGZ", data, batch, opt, m,
+    values = _ascend(
+        data, batch, opt, m,
         block=opt.restarts,
-        start_radii=[(spec.W_radius, k * m)],
+        dim=k * m,
+        radius=spec.W_radius,
         value_fn=value_fn,
         grad_fn=lambda Z, sig, slot: _fd_gradient(value_fn, Z, sig, slot),
         project_fn=lambda Z: _project_columns(Z, k, m, spec.W_radius),
         # W = 0 is feasible and gives the value m ln2 at every x.
         floor=m * _LN2 * batch.sigma_vectors.sum(axis=1) / n,
+    )
+    return _finalize(
+        "CD1_LOGZ", values, batch, "optimized", opt.restarts, opt.iterations
     )
 
 

@@ -1,7 +1,10 @@
 """End-to-end command-line checks, run in-process via cli.main."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,18 +83,28 @@ class TestBounds:
         assert cor5["value"] == rr.bound_corollary1(1.0, 6, 3, 50, 5)
 
     def test_lemma4_uses_member_count(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("num_members = 16\n")
         out = tmp_path / "out"
-        assert run("bounds", "--config", str(cfg), "--out", str(out)) == 0
+        out.mkdir()
+        members = rr.generate_members(6, 3, 16, 1.0, 8)
+        fileio.write_members(out / "members.txt", members)
+        assert run("bounds", "--out", str(out)) == 0
         row = next(
             r
             for r in fileio.read_bounds_csv(out / "bounds.csv")
             if r["bound_name"] == "LEMMA4_FINITE"
         )
+        t_max = max(np.abs(W).sum(axis=0).max() for W, _, _ in members)
+        assert row["ln_card_T"] == np.log(16) and row["W"] == t_max
         assert row["value"] == pytest.approx(
-            rr.bound_lemma4_finite(1.0, np.log(16), 50), abs=1e-15
+            rr.bound_lemma4_finite(t_max, np.log(16), 50), abs=1e-15
         )
+
+    def test_lemma4_skipped_without_members(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("bounds", "--out", str(out)) == 0
+        names = [r["bound_name"] for r in fileio.read_bounds_csv(out / "bounds.csv")]
+        assert "LEMMA4_FINITE" not in names and "LEMMA1" in names
+        assert "skipping LEMMA4_FINITE: no members file" in capsys.readouterr().err
 
 
 class TestEstimate:
@@ -145,9 +158,9 @@ class TestCompare:
     def test_pipeline_rows_and_pair_probe(self, tmp_path, fast_cfg_path, capsys):
         out = tmp_path / "out"
         run("gen-data", "--config", fast_cfg_path, "--out", str(out))
-        run("bounds", "--config", fast_cfg_path, "--out", str(out))
         members = rr.generate_members(4, 2, 6, 1.0, 21)
         fileio.write_members(out / "members.txt", members)
+        run("bounds", "--config", fast_cfg_path, "--out", str(out))
         for cls in rad_mod.CLASS_NAMES:
             assert run(
                 "estimate", cls, "--config", fast_cfg_path, "--out", str(out)
@@ -160,6 +173,10 @@ class TestCompare:
         assert sum(r["bound_name"] == "COROLLARY1" for r in rows) == 4
         finite = [r for r in rows if r["class_name"] == "FINITE_T"]
         assert [r["bound_name"] for r in finite] == ["LEMMA4_FINITE"]
+        t_max = max(np.abs(W).sum(axis=0).max() for W, _, _ in members)
+        assert finite[0]["bound_value"] == rr.bound_lemma4_finite(
+            t_max, np.log(6), 12
+        )
         assert not any(r["class_name"] == "T" for r in rows)
         assert "T: no closed-form comparator" in capsys.readouterr().err
         assert all(row["satisfied"] == "true" for row in rows)
@@ -218,6 +235,23 @@ class TestVerify:
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
         assert "failed suites: gradient" in captured
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbmrad.cli", "bounds", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "bounds.csv").exists()
 
 
 class TestInstalledScript:

@@ -96,6 +96,22 @@ class TestMembersFile:
             fileio.read_members(path)
 
 
+class TestAtomicWrite:
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        fileio.write_trace_csv(path, [rr.TrainingTrace(0, -3.5, 0.05, 7)])
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            fileio.write_trace_csv(path, [rr.TrainingTrace(5, -3.0, 0.05, 7)])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
 class TestCsvFiles:
     def test_bounds_roundtrip(self, tmp_path):
         reports = [

@@ -149,6 +149,18 @@ class TestOptimizedClasses:
         )
         assert h.mean == p1.mean and h.stderr == p1.stderr
 
+    def test_loglik_is_m_times_H(self, rng):
+        data = bernoulli_data(rng, 10, 4)
+        spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
+        h_batch = rr.sample_sigma_batch(10, 8, 5)
+        p1_batch = rr.sample_sigma_batch(10, 8, 5)
+        rr.estimate_R_H(data, spec, h_batch, SMALL_OPT)
+        rr.estimate_R_loglik_part1(data, spec, 3, p1_batch, SMALL_OPT)
+        assert np.array_equal(
+            np.array(p1_batch.per_sigma_values),
+            3 * np.array(h_batch.per_sigma_values),
+        )
+
     def test_loglik_zero_radii_collapse(self, rng):
         data = bernoulli_data(rng, 10, 3)
         batch = rr.sample_sigma_batch(10, 12, 6)
