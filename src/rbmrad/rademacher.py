@@ -9,7 +9,10 @@ points, so every estimate is a certified lower bound of the true supremum.
 That is the safe direction when estimates are compared against upper
 bounds.  The part-1 family (H, LOGLIK_PART1) bounds b and each w_j by
 separate balls, so its bias term takes the closed-form sup of F and its m
-hidden units share one k-dimensional ascent over w.
+hidden units share one k-dimensional ascent over w.  All four optimized
+classes ascend along analytic gradients: closed form for the part-1
+family, hand-written backpropagation through the two sigmoid layers for T
+and CD1_LOGZ.
 
 Per-sigma work is independent: sigma index i always draws its optimizer
 randomness from the stream (master seed, i), so results do not depend on
@@ -33,7 +36,6 @@ SUP_KINDS = ("analytic", "optimized", "finite-max")
 _LN2 = math.log(2.0)
 _STEP_SIZE = 0.1  # initial ascent step of every row
 _REL_TOL = 1e-9  # a row retires once an accepted move gains relatively less
-_FD_STEP = 1e-5  # central-difference step of the finite-difference gradient
 _MIN_STEP = 1e-14
 
 
@@ -399,15 +401,59 @@ def t_value(W, u: int, j: int, X) -> np.ndarray:
     return W[u, j] * mid
 
 
-def _fd_gradient(value_fn, Z, sig, slot):
-    grad = np.empty_like(Z)
-    for q in range(Z.shape[1]):
-        shift = np.zeros(Z.shape[1])
-        shift[q] = _FD_STEP
-        grad[:, q] = (
-            value_fn(Z + shift, sig, slot) - value_fn(Z - shift, sig, slot)
-        ) / (2.0 * _FD_STEP)
-    return grad
+def _t_value_rows(Z, X, sig_rows, m: int, u, j) -> np.ndarray:
+    # Row r holds a flattened k x m matrix W and its pair (u[r], j[r]);
+    # objective sig' t_W(X) / n.
+    n, k = X.shape
+    W_cube = Z.reshape(Z.shape[0], k, m)
+    rows = np.arange(Z.shape[0])
+    s = sigmoid(np.einsum("nk,rkm->rnm", X, W_cube))
+    mid = sigmoid(np.einsum("rnm,rm->rn", s, W_cube[rows, u, :]))
+    t_vals = W_cube[rows, u, j][:, None] * mid
+    return np.einsum("rn,rn->r", t_vals, sig_rows) / n
+
+
+def _t_grad_rows(Z, X, sig_rows, m: int, u, j) -> np.ndarray:
+    # Backpropagation through t = W_uj sigmoid(s W[u]), s = sigmoid(X W).
+    n, k = X.shape
+    W_cube = Z.reshape(Z.shape[0], k, m)
+    rows = np.arange(Z.shape[0])
+    g = sig_rows / n
+    W_u = W_cube[rows, u, :]
+    s = sigmoid(X @ W_cube)
+    mid = sigmoid(np.einsum("rnm,rm->rn", s, W_u))
+    G_pre = g * W_cube[rows, u, j][:, None] * mid * (1.0 - mid)
+    grad = X.T @ (G_pre[:, :, None] * W_u[:, None, :] * s * (1.0 - s))
+    grad[rows, u, :] += np.einsum("rnm,rn->rm", s, G_pre)
+    grad[rows, u, j] += np.einsum("rn,rn->r", g, mid)
+    return grad.reshape(Z.shape)
+
+
+def _cd1_logz_value_rows(Z, X, sig_rows, m: int) -> np.ndarray:
+    # Row r holds a flattened k x m matrix W; objective
+    # sig' sum_j softplus(x_tilde W_j) / n with x_tilde = sigmoid(sigmoid(X W) W').
+    n, k = X.shape
+    W_cube = Z.reshape(Z.shape[0], k, m)
+    s = sigmoid(np.einsum("nk,rkm->rnm", X, W_cube))
+    x_tilde = sigmoid(np.einsum("rnm,rkm->rnk", s, W_cube))
+    act = softplus(np.einsum("rnk,rkm->rnm", x_tilde, W_cube)).sum(axis=2)
+    return np.einsum("rn,rn->r", act, sig_rows) / n
+
+
+def _cd1_logz_grad_rows(Z, X, sig_rows, m: int) -> np.ndarray:
+    # Backpropagation through the three uses of W: a = X W, b = s W',
+    # c = x_tilde W.  G_* is the gradient of the objective by each
+    # preactivation.
+    n, k = X.shape
+    W_cube = Z.reshape(Z.shape[0], k, m)
+    W_t = W_cube.transpose(0, 2, 1)
+    s = sigmoid(X @ W_cube)
+    x_tilde = sigmoid(s @ W_t)
+    G_c = (sig_rows / n)[:, :, None] * sigmoid(x_tilde @ W_cube)
+    G_b = (G_c @ W_t) * x_tilde * (1.0 - x_tilde)
+    G_a = (G_b @ W_cube) * s * (1.0 - s)
+    grad = x_tilde.transpose(0, 2, 1) @ G_c + G_b.transpose(0, 2, 1) @ s + X.T @ G_a
+    return grad.reshape(Z.shape)
 
 
 def _project_columns(Z: np.ndarray, k: int, m: int, radius: float) -> np.ndarray:
@@ -428,31 +474,22 @@ def estimate_R_T(
     """Nested-sigmoid class T with a discrete outer max over the pair (u, j).
 
     Each (u, j) gets its own multi-restart ascent over W (every column inside
-    the l1 ball); gradients are central finite differences.
+    the l1 ball).
     """
     X = data.samples
-    n, k = X.shape
+    k = data.k
     restarts = opt.restarts
     # A sigma vector's block runs through the pairs (u, j) in row-major
     # order, with `restarts` consecutive rows per pair.
     pair = np.arange(k * m * restarts) // restarts
     U, J = pair // m, pair % m
-
-    def value_fn(Z, sig, slot):
-        W_cube = Z.reshape(Z.shape[0], k, m)
-        rows = np.arange(Z.shape[0])
-        s = sigmoid(np.einsum("nk,rkm->rnm", X, W_cube))
-        mid = sigmoid(np.einsum("rnm,rm->rn", s, W_cube[rows, U[slot], :]))
-        t_vals = W_cube[rows, U[slot], J[slot]][:, None] * mid
-        return np.einsum("rn,rn->r", t_vals, sig) / n
-
     values = _ascend(
         data, batch, opt, m,
         block=k * m * restarts,
         dim=k * m,
         radius=spec.W_radius,
-        value_fn=value_fn,
-        grad_fn=lambda Z, sig, slot: _fd_gradient(value_fn, Z, sig, slot),
+        value_fn=lambda Z, sig, slot: _t_value_rows(Z, X, sig, m, U[slot], J[slot]),
+        grad_fn=lambda Z, sig, slot: _t_grad_rows(Z, X, sig, m, U[slot], J[slot]),
         project_fn=lambda Z: _project_columns(Z, k, m, spec.W_radius),
         # W = 0 is feasible and gives t identically 0.
         floor=0.0,
@@ -470,21 +507,13 @@ def estimate_R_cd1_logZ(
     """Class x -> CD-1 approximate ln Z, optimized over column-bounded W."""
     X = data.samples
     n, k = X.shape
-
-    def value_fn(Z, sig, slot):
-        W_cube = Z.reshape(Z.shape[0], k, m)
-        s = sigmoid(np.einsum("nk,rkm->rnm", X, W_cube))
-        x_tilde = sigmoid(np.einsum("rnm,rkm->rnk", s, W_cube))
-        act = softplus(np.einsum("rnk,rkm->rnm", x_tilde, W_cube)).sum(axis=2)
-        return np.einsum("rn,rn->r", act, sig) / n
-
     values = _ascend(
         data, batch, opt, m,
         block=opt.restarts,
         dim=k * m,
         radius=spec.W_radius,
-        value_fn=value_fn,
-        grad_fn=lambda Z, sig, slot: _fd_gradient(value_fn, Z, sig, slot),
+        value_fn=lambda Z, sig, slot: _cd1_logz_value_rows(Z, X, sig, m),
+        grad_fn=lambda Z, sig, slot: _cd1_logz_grad_rows(Z, X, sig, m),
         project_fn=lambda Z: _project_columns(Z, k, m, spec.W_radius),
         # W = 0 is feasible and gives the value m ln2 at every x.
         floor=m * _LN2 * batch.sigma_vectors.sum(axis=1) / n,

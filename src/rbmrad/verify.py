@@ -101,8 +101,24 @@ def suite_projection(seed: int = 0) -> SuiteResult:
     return SuiteResult("projection", checks, failures)
 
 
+def _gradient_gap(analytic, f, z: np.ndarray) -> float:
+    """Relative gap between an analytic gradient and central differences of f."""
+    fd = np.empty_like(z)
+    for q in range(z.size):
+        shift = np.zeros(z.size)
+        shift[q] = 1e-5
+        fd[q] = (f(z + shift) - f(z - shift)) / 2e-5
+    # denominator floored at 1: zero-gradient instances otherwise divide
+    # finite-difference ulp noise by an arbitrary tiny constant
+    return np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
+
+
 def suite_gradient(seed: int = 0) -> SuiteResult:
-    """rademacher.part1_gradient against central differences of part1_objective."""
+    """The ascent gradients against central differences of their objectives.
+
+    Covers rademacher.part1_gradient, the CD1_LOGZ row gradient and the T
+    row gradient at every pair (u, j).
+    """
     rng = np.random.default_rng([seed, 5])
     checks = failures = 0
     for _ in range(25):
@@ -112,20 +128,26 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
         X = rng.integers(0, 2, size=(n, k)).astype(float)
         sig = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
         z = rng.uniform(-1.0, 1.0, size=(m + 1) * k)
-        analytic = rademacher.part1_gradient(z, X, sig, m)
-        fd = np.empty_like(z)
-        for q in range(z.size):
-            shift = np.zeros(z.size)
-            shift[q] = 1e-5
-            fd[q] = (
-                rademacher.part1_objective(z + shift, X, sig, m)
-                - rademacher.part1_objective(z - shift, X, sig, m)
-            ) / 2e-5
-        # denominator floored at 1: zero-gradient instances otherwise divide
-        # finite-difference ulp noise by an arbitrary tiny constant
-        rel = np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
-        checks += 1
-        failures += rel > 1e-4
+        gaps = [_gradient_gap(
+            rademacher.part1_gradient(z, X, sig, m),
+            lambda p: rademacher.part1_objective(p, X, sig, m),
+            z,
+        )]
+        # the w block doubles as one flattened k x m matrix W
+        W, rows = z[k:], sig[None]
+        gaps.append(_gradient_gap(
+            rademacher._cd1_logz_grad_rows(W[None], X, rows, m)[0],
+            lambda p: rademacher._cd1_logz_value_rows(p[None], X, rows, m)[0],
+            W,
+        ))
+        for u, j in np.ndindex(k, m):
+            gaps.append(_gradient_gap(
+                rademacher._t_grad_rows(W[None], X, rows, m, [u], [j])[0],
+                lambda p: rademacher._t_value_rows(p[None], X, rows, m, [u], [j])[0],
+                W,
+            ))
+        checks += len(gaps)
+        failures += sum(gap > 1e-4 for gap in gaps)
     return SuiteResult("gradient", checks, failures)
 
 

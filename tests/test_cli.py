@@ -236,6 +236,22 @@ class TestVerify:
         captured = capsys.readouterr().out
         assert "failed suites: gradient" in captured
 
+    def test_broken_cd1_logz_gradient_caught(self, monkeypatch, capsys):
+        exact = rad_mod._cd1_logz_grad_rows
+        monkeypatch.setattr(
+            rad_mod, "_cd1_logz_grad_rows", lambda *args: exact(*args) + 1e-3
+        )
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: gradient" in captured
+
+    def test_broken_t_gradient_caught(self, monkeypatch, capsys):
+        exact = rad_mod._t_grad_rows
+        monkeypatch.setattr(rad_mod, "_t_grad_rows", lambda *args: exact(*args) + 1e-3)
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: gradient" in captured
+
 
 class TestModuleEntry:
     def test_python_m_runs_the_cli(self, tmp_path):

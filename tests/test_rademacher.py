@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbmrad as rr
+from rbmrad import rademacher
 
 LN2 = math.log(2.0)
 
@@ -233,6 +234,92 @@ class TestCd1LogZClass:
         rr.estimate_R_cd1_logZ(data, spec, 2, batch, SMALL_OPT)
         zero_vals = 2 * LN2 * batch.sigma_vectors.sum(axis=1) / 9
         assert np.all(np.array(batch.per_sigma_values) >= zero_vals - 1e-15)
+
+
+def all_pairs(k, m):
+    pair = np.arange(k * m)
+    return pair // m, pair % m
+
+
+def central_differences(value_rows, Z, h=1e-5):
+    fd = np.empty_like(Z)
+    for q in range(Z.shape[1]):
+        shift = np.zeros(Z.shape[1])
+        shift[q] = h
+        fd[:, q] = (value_rows(Z + shift) - value_rows(Z - shift)) / (2 * h)
+    return fd
+
+
+def ascent_points(rng, k, m):
+    """An interior point, W = 0 and a point on every column's l1 sphere."""
+    interior = rng.uniform(-1.0, 1.0, size=(1, k * m)) / k
+    outside = rng.uniform(1.5, 3.0, size=(1, k * m)) * rng.choice([-1.0, 1.0], k * m)
+    sphere = rademacher._project_columns(outside, k, m, 1.0)
+    assert np.allclose(np.abs(sphere.reshape(k, m)).sum(axis=0), 1.0)
+    return [interior, np.zeros((1, k * m)), sphere]
+
+
+class TestAscentGradients:
+    """The analytic row gradients of CD1_LOGZ and T against central differences."""
+
+    def check(self, rng, value_rows, grad_rows, pair_args):
+        for _ in range(20):
+            k, m, n = (int(rng.integers(1, 6)), int(rng.integers(1, 4)),
+                       int(rng.integers(1, 9)))
+            X = rng.integers(0, 2, size=(n, k)).astype(float)
+            extra = pair_args(k, m)
+            rows = extra[0].size if extra else 1
+            sig = np.repeat(rng.choice([-1.0, 1.0], size=(1, n)), rows, axis=0)
+            for point in ascent_points(rng, k, m):
+                Z = np.repeat(point, rows, axis=0)
+                analytic = grad_rows(Z, X, sig, m, *extra)
+                fd = central_differences(lambda P: value_rows(P, X, sig, m, *extra), Z)
+                gap = np.linalg.norm(analytic - fd, axis=1) / np.maximum(
+                    1.0, np.linalg.norm(analytic, axis=1)
+                )
+                assert gap.max() <= 1e-6, (k, m, n, gap.max())
+
+    def test_cd1_logz_gradient(self, rng):
+        self.check(
+            rng,
+            rademacher._cd1_logz_value_rows,
+            rademacher._cd1_logz_grad_rows,
+            lambda k, m: (),
+        )
+
+    def test_t_gradient_every_pair(self, rng):
+        self.check(rng, rademacher._t_value_rows, rademacher._t_grad_rows, all_pairs)
+
+
+class TestAscentObjectives:
+    """The ascent objectives equal the library's definitions of each class."""
+
+    def test_t_rows_match_t_value(self, rng):
+        for _ in range(20):
+            k, m, n = int(rng.integers(1, 6)), int(rng.integers(1, 4)), 8
+            X = rng.integers(0, 2, size=(n, k)).astype(float)
+            sig = rng.choice([-1.0, 1.0], size=n)
+            W = rng.uniform(-1.0, 1.0, size=(k, m)) / k  # columns inside the ball
+            u, j = all_pairs(k, m)
+            rows = rademacher._t_value_rows(
+                np.repeat(W.reshape(1, -1), u.size, axis=0),
+                X, np.tile(sig, (u.size, 1)), m, u, j,
+            )
+            expected = [sig @ rr.t_value(W, a, b, X) / n for a, b in zip(u, j)]
+            assert np.max(np.abs(rows - expected)) <= 1e-12
+
+    def test_cd1_logz_rows_match_cd1_log_partition(self, rng):
+        for _ in range(20):
+            k, m, n = int(rng.integers(1, 6)), int(rng.integers(1, 4)), 8
+            X = rng.integers(0, 2, size=(n, k)).astype(float)
+            sig = rng.choice([-1.0, 1.0], size=n)
+            W = rng.uniform(-1.0, 1.0, size=(k, m)) / k  # columns inside the ball
+            params = rr.RbmParams(W=W, b=np.zeros(k), c=np.zeros(m))
+            row = rademacher._cd1_logz_value_rows(W.reshape(1, -1), X, sig[None], m)
+            expected = sum(
+                s * rr.cd1_log_partition(params, x) for s, x in zip(sig, X)
+            ) / n
+            assert abs(row[0] - expected) <= 1e-12
 
 
 class TestFiniteT:
