@@ -97,16 +97,12 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     add("LEMMA1", bc.bound_lemma1, B=B, d=k, n=n)
     add("REMARK2", bc.bound_remark2, W=W, d=k, n=n)
     add("THEOREM1", bc.bound_theorem1, B=B, W=W, k=k, m=m, n=n)
-    # LEMMA4_FINITE holds for the members FINITE_T is estimated on: |T| is
-    # their count and the largest |t| their largest column l1 norm.
     try:
-        members = _members(cfg)
+        finite = _finite_inputs(cfg)
     except FileNotFoundError as exc:
         skip("LEMMA4_FINITE", f"no members file {exc.filename}")
     else:
-        t_max = max(float(np.abs(Wt).sum(axis=0).max()) for Wt, _, _ in members)
-        ln_card = math.log(len(members))
-        add("LEMMA4_FINITE", bc.bound_lemma4_finite, W=t_max, ln_card_T=ln_card, n=n)
+        add("LEMMA4_FINITE", bc.bound_lemma4_finite, **finite, n=n)
     for vc in cfg.vc_values:
         add("SAUER_SHELAH", bc.sauer_shelah_ln_card, vc=vc, n=n)
         add("COROLLARY1", bc.bound_corollary1, W=W, k=k, m=m, n=n, vc=vc)
@@ -121,6 +117,14 @@ def _members(cfg: ExperimentConfig) -> list:
     return fileio.read_members(cfg.members_file or _path(cfg, "members.txt"))
 
 
+def _finite_inputs(cfg: ExperimentConfig) -> dict:
+    # LEMMA4_FINITE holds for the members FINITE_T is estimated on: |T| is
+    # their count and the largest |t| their largest column l1 norm.
+    members = _members(cfg)
+    t_max = max(float(np.abs(Wt).sum(axis=0).max()) for Wt, _, _ in members)
+    return {"W": t_max, "ln_card_T": math.log(len(members))}
+
+
 @dataclass(frozen=True)
 class HypothesisClass:
     """How the CLI estimates one class and which closed form it is held to.
@@ -128,12 +132,14 @@ class HypothesisClass:
     estimate(cfg, data, spec, batch, opt) returns the EstimateReport;
     context names the config fields among m, B_radius and W_radius that
     the estimate CSV records; bounds are the BOUND_KEYS names whose values
-    are summed into the comparator, none when the class has no closed form.
+    are summed into the comparator, none when the class has no closed form;
+    inputs(cfg) returns bound inputs the CSV does not record, read afresh.
     """
 
     estimate: Callable
     context: tuple = ()
     bounds: tuple = ()
+    inputs: Callable | None = None
 
 
 # The lambdas look the estimators up at call time, so a wrapper installed
@@ -179,6 +185,7 @@ CLASSES = {
             data, _members(cfg), batch
         ),
         bounds=("LEMMA4_FINITE",),
+        inputs=_finite_inputs,
     ),
 }
 
@@ -189,7 +196,7 @@ BOUND_KEYS = {
     "LEMMA1": {"B": "B_radius", "d": "k", "n": "n"},
     "REMARK2": {"W": "W_radius", "d": "k", "n": "n"},
     "THEOREM1": {"B": "B_radius", "W": "W_radius", "k": "k", "m": "m", "n": "n"},
-    "LEMMA4_FINITE": {"n": "n"},
+    "LEMMA4_FINITE": {"n": "n", "W": "W", "ln_card_T": "ln_card_T"},
     "COROLLARY1": {"W": "W_radius", "k": "k", "m": "m", "n": "n", "vc": None},
 }
 
@@ -258,6 +265,13 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                 file=sys.stderr,
             )
             continue
+        if cls.inputs is not None:
+            try:
+                est = {**est, **cls.inputs(cfg)}
+            except FileNotFoundError as exc:
+                name = est["class_name"]
+                print(f"{name}: no members file {exc.filename}", file=sys.stderr)
+                continue
         choices = []
         for name in cls.bounds:
             found = _match(bound_rows, name, est)

@@ -12,7 +12,9 @@ separate balls, so its bias term takes the closed-form sup of F and its m
 hidden units share one k-dimensional ascent over w.  All four optimized
 classes ascend along analytic gradients: closed form for the part-1
 family, hand-written backpropagation through the two sigmoid layers for T
-and CD1_LOGZ.
+and CD1_LOGZ.  One forward pass gives each row's value and gradient, and
+the ascent reuses an accepted point's gradient, so no point is evaluated
+twice.
 
 Per-sigma work is independent: sigma index i always draws its optimizer
 randomness from the stream (master seed, i), so results do not depend on
@@ -73,11 +75,10 @@ class OptimizerSettings:
 
 @dataclass
 class RademacherBatch:
-    """Seeded sigma vectors plus the per-sigma inner-sup values once filled."""
+    """Seeded sigma vectors: count x n signs drawn from one seed."""
 
     sigma_vectors: np.ndarray
     seed: int
-    per_sigma_values: list | None = None
 
     def __post_init__(self):
         sig = np.asarray(self.sigma_vectors, dtype=float)
@@ -102,6 +103,7 @@ class EstimateReport:
     inner_sup_kind: str
     seed: int
     num_excluded: int = 0
+    per_sigma_values: tuple = ()  # every sigma vector's inner sup, finite or not
 
     def __post_init__(self):
         if self.class_name not in CLASS_NAMES:
@@ -171,35 +173,35 @@ def project_l1(v, radius: float) -> np.ndarray:
     return _project_l1_rows(v[None, :], radius)[0]
 
 
-def _pga(value_fn, grad_fn, project_fn, Z0: np.ndarray, iterations: int):
+def _pga(objective, project_fn, Z0: np.ndarray, iterations: int):
     """Row-batched ascent: each row is an independent restart of a problem.
 
-    Callbacks receive the current row block plus the original row indices so
-    they can look up per-row data.  A row moves only when the step improves
-    it, halves its step otherwise, and retires once the relative improvement
-    drops below _REL_TOL or the step underflows.  Since only improving moves
-    are accepted, each row's final value is the best it has seen (including
-    the projected start), so the result is always attained by a feasible
-    point.
+    objective(Z, idx) gets a row block plus the original row indices, to look
+    up per-row data, and returns each row's value and gradient.  A row moves
+    only when the step improves it, keeping the candidate's gradient for its
+    next step, halves its step otherwise, and retires once the relative
+    improvement drops below _REL_TOL or the step underflows.  So each
+    iteration makes one objective call, and each row's final value is the
+    best it has seen (including the projected start), always attained by a
+    feasible point.
     """
     total = Z0.shape[0]
     Z = project_fn(Z0)
-    f = value_fn(Z, np.arange(total))
+    f, G = objective(Z, np.arange(total))
     steps = np.full(total, _STEP_SIZE)
     active = np.ones(total, dtype=bool)
     for _ in range(iterations):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        Za = Z[idx]
-        grad = grad_fn(Za, idx)
-        cand = project_fn(Za + steps[idx][:, None] * grad)
-        fc = value_fn(cand, idx)
+        cand = project_fn(Z[idx] + steps[idx][:, None] * G[idx])
+        fc, gc = objective(cand, idx)
         fa = f[idx]
         improved = fc > fa
         moved = idx[improved]
         Z[moved] = cand[improved]
         f[moved] = fc[improved]
+        G[moved] = gc[improved]
         rel = (fc[improved] - fa[improved]) / np.maximum(1.0, np.abs(fc[improved]))
         active[moved[rel < _REL_TOL]] = False
         stalled = idx[~improved]
@@ -213,8 +215,7 @@ def _finalize(
     values: np.ndarray,
     batch: RademacherBatch,
     kind: str,
-    restarts: int,
-    iterations: int,
+    opt: OptimizerSettings | None = None,
 ) -> EstimateReport:
     values = np.asarray(values, dtype=float)
     finite = np.isfinite(values)
@@ -226,17 +227,17 @@ def _finalize(
         if used.size > 1
         else float("nan")
     )
-    batch.per_sigma_values = [float(v) for v in values]
     return EstimateReport(
         class_name=class_name,
         mean=float(used.mean()),
         stderr=stderr,
         num_sigma=int(used.size),
-        optimizer_restarts=restarts,
-        optimizer_iterations=iterations,
+        optimizer_restarts=opt.restarts if opt else 0,
+        optimizer_iterations=opt.iterations if opt else 0,
         inner_sup_kind=kind,
         seed=batch.seed,
         num_excluded=int(values.size - used.size),
+        per_sigma_values=tuple(float(v) for v in values),
     )
 
 
@@ -257,7 +258,7 @@ def _estimate_linear(
 ) -> EstimateReport:
     _check_batch(data, batch)
     values = _linear_values(data, batch, radius)
-    return _finalize(class_name, values, batch, "analytic", 0, 0)
+    return _finalize(class_name, values, batch, "analytic")
 
 
 def estimate_R_F(
@@ -282,8 +283,7 @@ def _ascend(
     block: int,
     dim: int,
     radius: float,
-    value_fn,
-    grad_fn,
+    objective,
     project_fn,
     floor,
 ) -> np.ndarray:
@@ -291,10 +291,11 @@ def _ascend(
 
     Sigma vector i owns `block` consecutive rows of `dim` coordinates whose
     starts come from the stream (seed, i), each uniform in [-radius, radius].
-    value_fn and grad_fn take (Z, sig, slot): a row block, each row's sigma
-    vector and each row's position within its sigma vector's block.  The
-    per-sigma max over the block is floored at `floor`, the objective at a
-    parameter point that is always feasible, and returned per sigma vector.
+    objective(Z, sig, slot) takes a row block, each row's sigma vector and
+    each row's position within its sigma vector's block, and returns each
+    row's value and gradient.  The per-sigma max over the block is floored
+    at `floor`, the objective at a parameter point that is always feasible,
+    and returned per sigma vector.
     """
     _check_batch(data, batch)
     opt.validate()
@@ -307,8 +308,7 @@ def _ascend(
         rng = np.random.default_rng([batch.seed, i])
         starts.append(rng.uniform(-1.0, 1.0, size=(block, dim)) * radius)
     best = _pga(
-        lambda Z, idx: value_fn(Z, sig_rows[idx], idx % block),
-        lambda Z, idx: grad_fn(Z, sig_rows[idx], idx % block),
+        lambda Z, idx: objective(Z, sig_rows[idx], idx % block),
         project_fn,
         np.concatenate(starts, axis=0),
         opt.iterations,
@@ -316,20 +316,19 @@ def _ascend(
     return np.maximum(best.reshape(count, block).max(axis=1), floor)
 
 
-def _part1_value_rows(Z, X, sig_rows) -> np.ndarray:
+def _part1_rows(Z, X, sig_rows):
     # Row r holds one hidden unit's w; objective sig'softplus(X w) / n.
-    return np.einsum("rn,rn->r", softplus(Z @ X.T), sig_rows) / X.shape[0]
-
-
-def _part1_grad_rows(Z, X, sig_rows) -> np.ndarray:
-    return (sigmoid(Z @ X.T) * sig_rows) @ X / X.shape[0]
+    n = X.shape[0]
+    A = Z @ X.T
+    value = np.einsum("rn,rn->r", softplus(A), sig_rows) / n
+    return value, (sigmoid(A) * sig_rows) @ X / n
 
 
 def part1_objective(z, X, sig, m: int) -> float:
     """Objective of the part-1 family at one flat point z = [b | w_1 .. w_m]."""
     z, X, sig = (np.asarray(a, dtype=float) for a in (z, X, sig))
     n, k = X.shape
-    w_values = _part1_value_rows(z[k:].reshape(m, k), X, np.tile(sig, (m, 1)))
+    w_values = _part1_rows(z[k:].reshape(m, k), X, np.tile(sig, (m, 1)))[0]
     return float(m * (z[:k] @ (sig @ X)) / n + w_values.sum())
 
 
@@ -337,7 +336,7 @@ def part1_gradient(z, X, sig, m: int) -> np.ndarray:
     """Analytic gradient of part1_objective, same layout as z."""
     z, X, sig = (np.asarray(a, dtype=float) for a in (z, X, sig))
     n, k = X.shape
-    gw = _part1_grad_rows(z[k:].reshape(m, k), X, np.tile(sig, (m, 1)))
+    gw = _part1_rows(z[k:].reshape(m, k), X, np.tile(sig, (m, 1)))[1]
     return np.concatenate([m * (sig @ X) / n, gw.ravel()])
 
 
@@ -359,16 +358,13 @@ def _part1_family(
         block=opt.restarts,
         dim=k,
         radius=spec.W_radius,
-        value_fn=lambda Z, sig, slot: _part1_value_rows(Z, X, sig),
-        grad_fn=lambda Z, sig, slot: _part1_grad_rows(Z, X, sig),
+        objective=lambda Z, sig, slot: _part1_rows(Z, X, sig),
         project_fn=lambda Z: _project_l1_rows(Z, spec.W_radius),
         # w = 0 is always feasible; its objective is ln2 (sum_i sigma_i) / n.
         floor=_LN2 * batch.sigma_vectors.sum(axis=1) / n,
     )
     values = m * (_linear_values(data, batch, spec.B_radius) + best_w)
-    return _finalize(
-        class_name, values, batch, "optimized", opt.restarts, opt.iterations
-    )
+    return _finalize(class_name, values, batch, "optimized", opt)
 
 
 def estimate_R_H(
@@ -401,59 +397,47 @@ def t_value(W, u: int, j: int, X) -> np.ndarray:
     return W[u, j] * mid
 
 
-def _t_value_rows(Z, X, sig_rows, m: int, u, j) -> np.ndarray:
+def _t_rows(Z, X, sig_rows, m: int, u, j):
     # Row r holds a flattened k x m matrix W and its pair (u[r], j[r]);
-    # objective sig' t_W(X) / n.
-    n, k = X.shape
-    W_cube = Z.reshape(Z.shape[0], k, m)
-    rows = np.arange(Z.shape[0])
-    s = sigmoid(np.einsum("nk,rkm->rnm", X, W_cube))
-    mid = sigmoid(np.einsum("rnm,rm->rn", s, W_cube[rows, u, :]))
-    t_vals = W_cube[rows, u, j][:, None] * mid
-    return np.einsum("rn,rn->r", t_vals, sig_rows) / n
-
-
-def _t_grad_rows(Z, X, sig_rows, m: int, u, j) -> np.ndarray:
-    # Backpropagation through t = W_uj sigmoid(s W[u]), s = sigmoid(X W).
+    # objective sig' t_W(X) / n with t = W_uj sigmoid(s W[u]), s = sigmoid(X W),
+    # and its gradient by backpropagation.
     n, k = X.shape
     W_cube = Z.reshape(Z.shape[0], k, m)
     rows = np.arange(Z.shape[0])
     g = sig_rows / n
     W_u = W_cube[rows, u, :]
+    W_uj = W_cube[rows, u, j][:, None]
     s = sigmoid(X @ W_cube)
     mid = sigmoid(np.einsum("rnm,rm->rn", s, W_u))
-    G_pre = g * W_cube[rows, u, j][:, None] * mid * (1.0 - mid)
-    grad = X.T @ (G_pre[:, :, None] * W_u[:, None, :] * s * (1.0 - s))
+    value = np.einsum("rn,rn->r", W_uj * mid, sig_rows) / n
+    G_pre = g * W_uj * mid * (1.0 - mid)
+    # In place: fewer (rows, n, m) temporaries for the heap to free and refault.
+    D = G_pre[:, :, None] * W_u[:, None, :] * s
+    D *= 1.0 - s
+    grad = X.T @ D
     grad[rows, u, :] += np.einsum("rnm,rn->rm", s, G_pre)
     grad[rows, u, j] += np.einsum("rn,rn->r", g, mid)
-    return grad.reshape(Z.shape)
+    return value, grad.reshape(Z.shape)
 
 
-def _cd1_logz_value_rows(Z, X, sig_rows, m: int) -> np.ndarray:
+def _cd1_logz_rows(Z, X, sig_rows, m: int):
     # Row r holds a flattened k x m matrix W; objective
-    # sig' sum_j softplus(x_tilde W_j) / n with x_tilde = sigmoid(sigmoid(X W) W').
-    n, k = X.shape
-    W_cube = Z.reshape(Z.shape[0], k, m)
-    s = sigmoid(np.einsum("nk,rkm->rnm", X, W_cube))
-    x_tilde = sigmoid(np.einsum("rnm,rkm->rnk", s, W_cube))
-    act = softplus(np.einsum("rnk,rkm->rnm", x_tilde, W_cube)).sum(axis=2)
-    return np.einsum("rn,rn->r", act, sig_rows) / n
-
-
-def _cd1_logz_grad_rows(Z, X, sig_rows, m: int) -> np.ndarray:
-    # Backpropagation through the three uses of W: a = X W, b = s W',
-    # c = x_tilde W.  G_* is the gradient of the objective by each
-    # preactivation.
+    # sig' sum_j softplus(x_tilde W_j) / n with x_tilde = sigmoid(sigmoid(X W) W'),
+    # and its gradient by backpropagation through the three uses of W:
+    # a = X W, b = s W', c = x_tilde W.  G_* is the gradient of the objective
+    # by each preactivation.
     n, k = X.shape
     W_cube = Z.reshape(Z.shape[0], k, m)
     W_t = W_cube.transpose(0, 2, 1)
     s = sigmoid(X @ W_cube)
     x_tilde = sigmoid(s @ W_t)
-    G_c = (sig_rows / n)[:, :, None] * sigmoid(x_tilde @ W_cube)
+    c = x_tilde @ W_cube
+    value = np.einsum("rn,rn->r", softplus(c).sum(axis=2), sig_rows) / n
+    G_c = (sig_rows / n)[:, :, None] * sigmoid(c)
     G_b = (G_c @ W_t) * x_tilde * (1.0 - x_tilde)
     G_a = (G_b @ W_cube) * s * (1.0 - s)
     grad = x_tilde.transpose(0, 2, 1) @ G_c + G_b.transpose(0, 2, 1) @ s + X.T @ G_a
-    return grad.reshape(Z.shape)
+    return value, grad.reshape(Z.shape)
 
 
 def _project_columns(Z: np.ndarray, k: int, m: int, radius: float) -> np.ndarray:
@@ -478,23 +462,21 @@ def estimate_R_T(
     """
     X = data.samples
     k = data.k
-    restarts = opt.restarts
     # A sigma vector's block runs through the pairs (u, j) in row-major
     # order, with `restarts` consecutive rows per pair.
-    pair = np.arange(k * m * restarts) // restarts
+    pair = np.arange(k * m * opt.restarts) // opt.restarts
     U, J = pair // m, pair % m
     values = _ascend(
         data, batch, opt, m,
-        block=k * m * restarts,
+        block=pair.size,
         dim=k * m,
         radius=spec.W_radius,
-        value_fn=lambda Z, sig, slot: _t_value_rows(Z, X, sig, m, U[slot], J[slot]),
-        grad_fn=lambda Z, sig, slot: _t_grad_rows(Z, X, sig, m, U[slot], J[slot]),
+        objective=lambda Z, sig, slot: _t_rows(Z, X, sig, m, U[slot], J[slot]),
         project_fn=lambda Z: _project_columns(Z, k, m, spec.W_radius),
         # W = 0 is feasible and gives t identically 0.
         floor=0.0,
     )
-    return _finalize("T", values, batch, "optimized", opt.restarts, opt.iterations)
+    return _finalize("T", values, batch, "optimized", opt)
 
 
 def estimate_R_cd1_logZ(
@@ -512,15 +494,12 @@ def estimate_R_cd1_logZ(
         block=opt.restarts,
         dim=k * m,
         radius=spec.W_radius,
-        value_fn=lambda Z, sig, slot: _cd1_logz_value_rows(Z, X, sig, m),
-        grad_fn=lambda Z, sig, slot: _cd1_logz_grad_rows(Z, X, sig, m),
+        objective=lambda Z, sig, slot: _cd1_logz_rows(Z, X, sig, m),
         project_fn=lambda Z: _project_columns(Z, k, m, spec.W_radius),
         # W = 0 is feasible and gives the value m ln2 at every x.
         floor=m * _LN2 * batch.sigma_vectors.sum(axis=1) / n,
     )
-    return _finalize(
-        "CD1_LOGZ", values, batch, "optimized", opt.restarts, opt.iterations
-    )
+    return _finalize("CD1_LOGZ", values, batch, "optimized", opt)
 
 
 def estimate_R_finite_T(
@@ -533,7 +512,7 @@ def estimate_R_finite_T(
         raise ValueError("members must be nonempty")
     table = np.stack([t_value(W, u, j, data.samples) for W, u, j in members])
     values = (batch.sigma_vectors @ table.T).max(axis=1) / data.n
-    return _finalize("FINITE_T", values, batch, "finite-max", 0, 0)
+    return _finalize("FINITE_T", values, batch, "finite-max")
 
 
 def generate_members(

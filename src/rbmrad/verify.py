@@ -101,13 +101,14 @@ def suite_projection(seed: int = 0) -> SuiteResult:
     return SuiteResult("projection", checks, failures)
 
 
-def _gradient_gap(analytic, f, z: np.ndarray) -> float:
-    """Relative gap between an analytic gradient and central differences of f."""
+def _gradient_gap(objective, z: np.ndarray) -> float:
+    """Relative gap between objective's gradient and differences of its value."""
+    analytic = objective(z)[1]
     fd = np.empty_like(z)
     for q in range(z.size):
         shift = np.zeros(z.size)
         shift[q] = 1e-5
-        fd[q] = (f(z + shift) - f(z - shift)) / 2e-5
+        fd[q] = (objective(z + shift)[0] - objective(z - shift)[0]) / 2e-5
     # denominator floored at 1: zero-gradient instances otherwise divide
     # finite-difference ulp noise by an arbitrary tiny constant
     return np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
@@ -129,23 +130,18 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
         sig = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
         z = rng.uniform(-1.0, 1.0, size=(m + 1) * k)
         gaps = [_gradient_gap(
-            rademacher.part1_gradient(z, X, sig, m),
-            lambda p: rademacher.part1_objective(p, X, sig, m),
+            lambda p: (
+                rademacher.part1_objective(p, X, sig, m),
+                rademacher.part1_gradient(p, X, sig, m),
+            ),
             z,
         )]
         # the w block doubles as one flattened k x m matrix W
-        W, rows = z[k:], sig[None]
-        gaps.append(_gradient_gap(
-            rademacher._cd1_logz_grad_rows(W[None], X, rows, m)[0],
-            lambda p: rademacher._cd1_logz_value_rows(p[None], X, rows, m)[0],
-            W,
-        ))
+        def one_row(rows_fn, *pair):
+            return lambda W: [a[0] for a in rows_fn(W[None], X, sig[None], m, *pair)]
+        gaps.append(_gradient_gap(one_row(rademacher._cd1_logz_rows), z[k:]))
         for u, j in np.ndindex(k, m):
-            gaps.append(_gradient_gap(
-                rademacher._t_grad_rows(W[None], X, rows, m, [u], [j])[0],
-                lambda p: rademacher._t_value_rows(p[None], X, rows, m, [u], [j])[0],
-                W,
-            ))
+            gaps.append(_gradient_gap(one_row(rademacher._t_rows, [u], [j]), z[k:]))
         checks += len(gaps)
         failures += sum(gap > 1e-4 for gap in gaps)
     return SuiteResult("gradient", checks, failures)

@@ -36,6 +36,12 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def broken(rows_fn, args):
+    """A fused row helper's output with 1e-3 added to its gradient only."""
+    value, grad = rows_fn(*args)
+    return value, grad + 1e-3
+
+
 class TestGenData:
     def test_bernoulli_reruns_byte_identical(self, tmp_path, fast_cfg_path):
         out = tmp_path / "out"
@@ -188,6 +194,37 @@ class TestCompare:
         )
 
 
+    def test_finite_t_held_to_its_own_members(self, tmp_path, fast_cfg_path, capsys):
+        out = tmp_path / "out"
+        run("gen-data", "--config", fast_cfg_path, "--out", str(out))
+        fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 4, 1.0, 3))
+        run("bounds", "--config", fast_cfg_path, "--out", str(out))
+        # The members change after bounds: the 4-member row no longer applies.
+        fileio.write_members(
+            out / "members.txt", rr.generate_members(4, 2, 256, 1.0, 3)
+        )
+        for cls in ("F", "FINITE_T"):
+            run("estimate", cls, "--config", fast_cfg_path, "--out", str(out))
+        assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
+        rows = fileio.read_comparison_csv(out / "comparison.csv")
+        assert [r["class_name"] for r in rows] == ["F"]
+        err = capsys.readouterr().err
+        assert "FINITE_T: no LEMMA4_FINITE bound row with matching inputs" in err
+
+    def test_finite_t_skipped_without_members(self, tmp_path, fast_cfg_path, capsys):
+        out = tmp_path / "out"
+        run("gen-data", "--config", fast_cfg_path, "--out", str(out))
+        fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 6, 1.0, 21))
+        run("bounds", "--config", fast_cfg_path, "--out", str(out))
+        for cls in ("F", "FINITE_T"):
+            run("estimate", cls, "--config", fast_cfg_path, "--out", str(out))
+        os.remove(out / "members.txt")
+        assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
+        rows = fileio.read_comparison_csv(out / "comparison.csv")
+        assert [r["class_name"] for r in rows] == ["F"]
+        assert "FINITE_T: no members file" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_trace_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -228,26 +265,24 @@ class TestVerify:
         assert "failed suites: factorization" in captured
 
     def test_broken_ascent_gradient_caught(self, monkeypatch, capsys):
-        exact = rad_mod._part1_grad_rows
-        monkeypatch.setattr(
-            rad_mod, "_part1_grad_rows", lambda *args: exact(*args) + 1e-3
-        )
+        exact = rad_mod._part1_rows
+        monkeypatch.setattr(rad_mod, "_part1_rows", lambda *args: broken(exact, args))
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
         assert "failed suites: gradient" in captured
 
     def test_broken_cd1_logz_gradient_caught(self, monkeypatch, capsys):
-        exact = rad_mod._cd1_logz_grad_rows
+        exact = rad_mod._cd1_logz_rows
         monkeypatch.setattr(
-            rad_mod, "_cd1_logz_grad_rows", lambda *args: exact(*args) + 1e-3
+            rad_mod, "_cd1_logz_rows", lambda *args: broken(exact, args)
         )
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
         assert "failed suites: gradient" in captured
 
     def test_broken_t_gradient_caught(self, monkeypatch, capsys):
-        exact = rad_mod._t_grad_rows
-        monkeypatch.setattr(rad_mod, "_t_grad_rows", lambda *args: exact(*args) + 1e-3)
+        exact = rad_mod._t_rows
+        monkeypatch.setattr(rad_mod, "_t_rows", lambda *args: broken(exact, args))
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
         assert "failed suites: gradient" in captured

@@ -98,7 +98,7 @@ class TestLinearClasses:
         batch = rr.RademacherBatch(np.array([[1.0], [-1.0]]), seed=0)
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         report = rr.estimate_R_F(data, spec, batch)
-        assert report.mean == 1.0 and batch.per_sigma_values == [1.0, 1.0]
+        assert report.mean == 1.0 and report.per_sigma_values == (1.0, 1.0)
 
     def test_G_matches_F_at_equal_radii(self, rng):
         data = bernoulli_data(rng, 15, 5)
@@ -122,17 +122,17 @@ class TestOptimizedClasses:
         spec = rr.ConstraintSpec(B_radius=0.0, W_radius=0.0)
         report = rr.estimate_R_H(data, spec, batch, SMALL_OPT)
         expected = LN2 * batch.sigma_vectors.sum(axis=1) / 12
-        assert np.allclose(batch.per_sigma_values, expected, atol=0)
+        assert np.allclose(report.per_sigma_values, expected, atol=0)
         assert report.mean == pytest.approx(expected.mean(), abs=1e-15)
 
     def test_H_dominates_feasible_points(self, rng):
         data = bernoulli_data(rng, 10, 3)
         batch = rr.sample_sigma_batch(10, 6, 9)
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
-        rr.estimate_R_H(data, spec, batch, SMALL_OPT)
+        report = rr.estimate_R_H(data, spec, batch, SMALL_OPT)
         X, n = data.samples, data.n
         for i, sig in enumerate(batch.sigma_vectors):
-            got = batch.per_sigma_values[i]
+            got = report.per_sigma_values[i]
             zero_value = LN2 * sig.sum() / n
             assert got >= zero_value - 1e-12
             for _ in range(8):
@@ -155,20 +155,20 @@ class TestOptimizedClasses:
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         h_batch = rr.sample_sigma_batch(10, 8, 5)
         p1_batch = rr.sample_sigma_batch(10, 8, 5)
-        rr.estimate_R_H(data, spec, h_batch, SMALL_OPT)
-        rr.estimate_R_loglik_part1(data, spec, 3, p1_batch, SMALL_OPT)
+        h = rr.estimate_R_H(data, spec, h_batch, SMALL_OPT)
+        p1 = rr.estimate_R_loglik_part1(data, spec, 3, p1_batch, SMALL_OPT)
         assert np.array_equal(
-            np.array(p1_batch.per_sigma_values),
-            3 * np.array(h_batch.per_sigma_values),
+            np.array(p1.per_sigma_values),
+            3 * np.array(h.per_sigma_values),
         )
 
     def test_loglik_zero_radii_collapse(self, rng):
         data = bernoulli_data(rng, 10, 3)
         batch = rr.sample_sigma_batch(10, 12, 6)
         spec = rr.ConstraintSpec(B_radius=0.0, W_radius=0.0)
-        rr.estimate_R_loglik_part1(data, spec, 3, batch, SMALL_OPT)
+        report = rr.estimate_R_loglik_part1(data, spec, 3, batch, SMALL_OPT)
         expected = 3 * LN2 * batch.sigma_vectors.sum(axis=1) / 10
-        assert np.allclose(batch.per_sigma_values, expected, atol=0)
+        assert np.allclose(report.per_sigma_values, expected, atol=0)
 
     def test_estimator_determinism(self, rng):
         data = bernoulli_data(rng, 10, 3)
@@ -197,7 +197,7 @@ class TestClassT:
         batch = rr.sample_sigma_batch(8, 5, 2)
         spec = rr.ConstraintSpec(B_radius=0.0, W_radius=0.0)
         report = rr.estimate_R_T(data, spec, 2, batch, SMALL_OPT)
-        assert report.mean == 0.0 and all(v == 0.0 for v in batch.per_sigma_values)
+        assert report.mean == 0.0 and all(v == 0.0 for v in report.per_sigma_values)
 
     def test_range_invariant(self, rng):
         for _ in range(200):
@@ -213,7 +213,7 @@ class TestClassT:
         batch = rr.sample_sigma_batch(8, 10, 3)
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         report = rr.estimate_R_T(data, spec, 2, batch, SMALL_OPT)
-        values = np.array(batch.per_sigma_values)
+        values = np.array(report.per_sigma_values)
         assert np.all(values >= 0.0)
         assert report.mean <= spec.W_radius + 3 * report.stderr
 
@@ -223,17 +223,17 @@ class TestCd1LogZClass:
         data = bernoulli_data(rng, 9, 3)
         batch = rr.sample_sigma_batch(9, 8, 1)
         spec = rr.ConstraintSpec(B_radius=0.0, W_radius=0.0)
-        rr.estimate_R_cd1_logZ(data, spec, 2, batch, SMALL_OPT)
+        report = rr.estimate_R_cd1_logZ(data, spec, 2, batch, SMALL_OPT)
         expected = 2 * LN2 * batch.sigma_vectors.sum(axis=1) / 9
-        assert np.allclose(batch.per_sigma_values, expected, atol=0)
+        assert np.allclose(report.per_sigma_values, expected, atol=0)
 
     def test_sup_dominates_zero_point(self, rng):
         data = bernoulli_data(rng, 9, 3)
         batch = rr.sample_sigma_batch(9, 8, 4)
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
-        rr.estimate_R_cd1_logZ(data, spec, 2, batch, SMALL_OPT)
+        report = rr.estimate_R_cd1_logZ(data, spec, 2, batch, SMALL_OPT)
         zero_vals = 2 * LN2 * batch.sigma_vectors.sum(axis=1) / 9
-        assert np.all(np.array(batch.per_sigma_values) >= zero_vals - 1e-15)
+        assert np.all(np.array(report.per_sigma_values) >= zero_vals - 1e-15)
 
 
 def all_pairs(k, m):
@@ -262,7 +262,7 @@ def ascent_points(rng, k, m):
 class TestAscentGradients:
     """The analytic row gradients of CD1_LOGZ and T against central differences."""
 
-    def check(self, rng, value_rows, grad_rows, pair_args):
+    def check(self, rng, rows_fn, pair_args):
         for _ in range(20):
             k, m, n = (int(rng.integers(1, 6)), int(rng.integers(1, 4)),
                        int(rng.integers(1, 9)))
@@ -272,23 +272,18 @@ class TestAscentGradients:
             sig = np.repeat(rng.choice([-1.0, 1.0], size=(1, n)), rows, axis=0)
             for point in ascent_points(rng, k, m):
                 Z = np.repeat(point, rows, axis=0)
-                analytic = grad_rows(Z, X, sig, m, *extra)
-                fd = central_differences(lambda P: value_rows(P, X, sig, m, *extra), Z)
+                analytic = rows_fn(Z, X, sig, m, *extra)[1]
+                fd = central_differences(lambda P: rows_fn(P, X, sig, m, *extra)[0], Z)
                 gap = np.linalg.norm(analytic - fd, axis=1) / np.maximum(
                     1.0, np.linalg.norm(analytic, axis=1)
                 )
                 assert gap.max() <= 1e-6, (k, m, n, gap.max())
 
     def test_cd1_logz_gradient(self, rng):
-        self.check(
-            rng,
-            rademacher._cd1_logz_value_rows,
-            rademacher._cd1_logz_grad_rows,
-            lambda k, m: (),
-        )
+        self.check(rng, rademacher._cd1_logz_rows, lambda k, m: ())
 
     def test_t_gradient_every_pair(self, rng):
-        self.check(rng, rademacher._t_value_rows, rademacher._t_grad_rows, all_pairs)
+        self.check(rng, rademacher._t_rows, all_pairs)
 
 
 class TestAscentObjectives:
@@ -301,10 +296,10 @@ class TestAscentObjectives:
             sig = rng.choice([-1.0, 1.0], size=n)
             W = rng.uniform(-1.0, 1.0, size=(k, m)) / k  # columns inside the ball
             u, j = all_pairs(k, m)
-            rows = rademacher._t_value_rows(
+            rows = rademacher._t_rows(
                 np.repeat(W.reshape(1, -1), u.size, axis=0),
                 X, np.tile(sig, (u.size, 1)), m, u, j,
-            )
+            )[0]
             expected = [sig @ rr.t_value(W, a, b, X) / n for a, b in zip(u, j)]
             assert np.max(np.abs(rows - expected)) <= 1e-12
 
@@ -315,11 +310,43 @@ class TestAscentObjectives:
             sig = rng.choice([-1.0, 1.0], size=n)
             W = rng.uniform(-1.0, 1.0, size=(k, m)) / k  # columns inside the ball
             params = rr.RbmParams(W=W, b=np.zeros(k), c=np.zeros(m))
-            row = rademacher._cd1_logz_value_rows(W.reshape(1, -1), X, sig[None], m)
+            row = rademacher._cd1_logz_rows(W.reshape(1, -1), X, sig[None], m)[0]
             expected = sum(
                 s * rr.cd1_log_partition(params, x) for s, x in zip(sig, X)
             ) / n
             assert abs(row[0] - expected) <= 1e-12
+
+
+class TestAscentDriver:
+    """_pga steps along the gradient stored with each row's current point."""
+
+    def test_reaches_maximum_of_concave_quadratic(self, rng):
+        # The weights make the quadratic anisotropic: a gradient kept from
+        # the start then no longer points at c, so a stale one stalls short.
+        a = np.array([0.5, 1.0, 2.0, 4.0])
+        c = np.array([0.3, -0.2, 0.1, 0.25])  # ||c||_1 = 0.85, inside the ball
+        values = rademacher._pga(
+            lambda Z, idx: (-((Z - c) ** 2 * a).sum(axis=1), -2.0 * a * (Z - c)),
+            lambda Z: rademacher._project_l1_rows(Z, 1.0),
+            rng.uniform(-1.0, 1.0, size=(16, 4)),
+            500,
+        )
+        assert np.all(values <= 0.0) and np.all(values >= -1e-6)
+
+    def test_one_objective_call_per_iteration(self, rng, monkeypatch):
+        calls = []
+        rows = rademacher._part1_rows
+
+        def counted(Z, *args):
+            calls.append(Z.shape[0])
+            return rows(Z, *args)
+
+        monkeypatch.setattr(rademacher, "_part1_rows", counted)
+        data = bernoulli_data(rng, 10, 3)
+        spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
+        rr.estimate_R_H(data, spec, rr.sample_sigma_batch(10, 6, 8), SMALL_OPT)
+        assert 1 <= len(calls) <= SMALL_OPT.iterations + 1
+        assert calls[0] == 6 * SMALL_OPT.restarts
 
 
 class TestFiniteT:
@@ -412,7 +439,7 @@ class TestReportValidation:
         batch = rr.sample_sigma_batch(10, 30, 2)
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         report = rr.estimate_R_F(data, spec, batch)
-        values = np.array(batch.per_sigma_values)
+        values = np.array(report.per_sigma_values)
         assert report.stderr == pytest.approx(
             values.std(ddof=1) / math.sqrt(len(values)), abs=1e-15
         )
