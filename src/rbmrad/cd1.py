@@ -101,6 +101,20 @@ def cd1_approx_log_likelihood(params: RbmParams, x) -> float:
     return float(softplus(xv @ params.W).sum()) - cd1_log_partition(params, x)
 
 
+def _check_learning_rate(learning_rate) -> None:
+    if not 0.0 <= learning_rate < np.inf:
+        raise ValueError("learning_rate must be finite and nonnegative")
+
+
+def _cd1_update(W: np.ndarray, X: np.ndarray, learning_rate: float) -> np.ndarray:
+    """The CD-1 weight update on raw arrays the caller has already validated."""
+    H = sigmoid(X @ W)
+    X_tilde = sigmoid(H @ W.T)
+    H_neg = sigmoid(X_tilde @ W)
+    delta = (X.T @ H - X_tilde.T @ H_neg) / X.shape[0]
+    return W + learning_rate * delta
+
+
 def cd1_gradient_step(
     params: RbmParams,
     minibatch: BinaryDataset,
@@ -113,16 +127,11 @@ def cd1_gradient_step(
     through the sigmoid.  Biases stay frozen.  The fully mean-field rule is
     deterministic.
     """
-    if learning_rate < 0.0:
-        raise ValueError("learning_rate must be nonnegative")
+    _check_learning_rate(learning_rate)
     if minibatch.k != params.k:
         raise ValueError("minibatch width does not match params")
-    X = minibatch.samples
-    H = sigmoid(X @ params.W)
-    X_tilde = sigmoid(H @ params.W.T)
-    H_neg = sigmoid(X_tilde @ params.W)
-    delta = (X.T @ H - X_tilde.T @ H_neg) / minibatch.n
-    return RbmParams(W=params.W + learning_rate * delta, b=params.b, c=params.c)
+    W = _cd1_update(params.W, minibatch.samples, learning_rate)
+    return RbmParams(W=W, b=params.b, c=params.c)
 
 
 def train_cd1(
@@ -139,6 +148,11 @@ def train_cd1(
     epoch and the final epoch are audited.  Batch size is min(n, 32) and the
     shuffle is reseeded per epoch from (seed, epoch), so a fixed seed gives
     a bit-identical trace.
+
+    Every argument is validated once, here; the loop then updates the raw
+    weight matrix with the same rule as cd1_gradient_step.  Each audit wraps
+    W in an RbmParams, and the final epoch is always audited, so a run whose
+    weights stop being finite raises ValueError before any trace is returned.
     """
     if init.k > MAX_AUDIT_VISIBLE:
         raise EnumerationLimitError(
@@ -150,13 +164,12 @@ def train_cd1(
         raise ValueError("epochs must be nonnegative")
     if audit_every < 1:
         raise ValueError("audit_every must be positive")
-    if learning_rate < 0.0:
-        raise ValueError("learning_rate must be nonnegative")
+    _check_learning_rate(learning_rate)
 
     batch_size = min(data.n, BATCH_CAP)
-    params = init
 
-    def audit(epoch: int) -> TrainingTrace:
+    def audit(epoch: int, W: np.ndarray) -> TrainingTrace:
+        params = RbmParams(W=W, b=init.b, c=init.c)
         mean_ll = float(dataset_log_likelihoods(params, data).mean())
         return TrainingTrace(
             epoch=epoch,
@@ -165,14 +178,14 @@ def train_cd1(
             seed=int(seed),
         )
 
-    trace = [audit(0)]
+    W = init.W
+    trace = [audit(0, W)]
     for epoch in range(1, epochs + 1):
         rng = np.random.default_rng([seed, epoch])
         order = rng.permutation(data.n)
         for start in range(0, data.n, batch_size):
             rows = order[start:start + batch_size]
-            batch = BinaryDataset(data.samples[rows])
-            params = cd1_gradient_step(params, batch, learning_rate)
+            W = _cd1_update(W, data.samples[rows], learning_rate)
         if epoch % audit_every == 0 or epoch == epochs:
-            trace.append(audit(epoch))
+            trace.append(audit(epoch, W))
     return trace

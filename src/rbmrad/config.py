@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 DATA_SOURCES = ("bernoulli-half", "ground-truth-rbm")
@@ -37,8 +38,8 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         for name in ("B_radius", "W_radius", "learning_rate"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
         if self.seed < 0:

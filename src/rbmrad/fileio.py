@@ -57,6 +57,14 @@ def _write_lines(path, lines) -> None:
         raise
 
 
+def _read_nonblank(path, what: str) -> list[str]:
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"empty {what} file")
+    return lines
+
+
 def _parse_tagged(token: str, tag: str) -> int:
     prefix = tag + "="
     if not token.startswith(prefix):
@@ -72,10 +80,7 @@ def write_dataset(path, data: BinaryDataset) -> None:
 
 
 def read_dataset(path) -> BinaryDataset:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError("empty dataset file")
+    lines = _read_nonblank(path, "dataset")
     k_tok, n_tok = lines[0].split()
     k = _parse_tagged(k_tok, "k")
     n = _parse_tagged(n_tok, "n")
@@ -100,10 +105,7 @@ def write_params(path, params: RbmParams) -> None:
 
 
 def read_params(path) -> RbmParams:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError("empty parameters file")
+    lines = _read_nonblank(path, "parameters")
     k_tok, m_tok = lines[0].split()
     k = _parse_tagged(k_tok, "k")
     m = _parse_tagged(m_tok, "m")
@@ -132,10 +134,7 @@ def write_members(path, members) -> None:
 
 
 def read_members(path) -> list:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError("empty members file")
+    lines = _read_nonblank(path, "members")
     k_tok, m_tok, count_tok = lines[0].split()
     k = _parse_tagged(k_tok, "k")
     m = _parse_tagged(m_tok, "m")
@@ -167,18 +166,21 @@ def _write_csv(path, header: str, rows) -> None:
     _write_lines(path, lines)
 
 
-def _read_csv(path) -> list[dict]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError("empty CSV file")
+def _read_csv(path, floats=(), ints=()) -> list[dict]:
+    """Rows as dicts; empty fields are None, the named columns are converted."""
+    lines = _read_nonblank(path, "CSV")
     columns = lines[0].split(",")
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(columns):
             raise ValueError(f"malformed CSV line {ln!r}")
-        rows.append({col: (val if val != "" else None) for col, val in zip(columns, parts)})
+        row = {col: (val if val != "" else None) for col, val in zip(columns, parts)}
+        for keys, kind in ((floats, float), (ints, int)):
+            for key in keys:
+                if row.get(key) is not None:
+                    row[key] = kind(row[key])
+        rows.append(row)
     return rows
 
 
@@ -194,15 +196,8 @@ def write_bounds_csv(path, reports) -> None:
 
 
 def read_bounds_csv(path) -> list[dict]:
-    rows = _read_csv(path)
-    for row in rows:
-        for key in ("B", "W", "ln_card_T", "value"):
-            if row.get(key) is not None:
-                row[key] = float(row[key])
-        for key in ("k", "m", "n", "d", "vc"):
-            if row.get(key) is not None:
-                row[key] = int(row[key])
-    return rows
+    return _read_csv(path, floats=("B", "W", "ln_card_T", "value"),
+                     ints=("k", "m", "n", "d", "vc"))
 
 
 def estimate_row(
@@ -234,15 +229,8 @@ def write_estimate_csv(path, rows) -> None:
 
 
 def read_estimate_csv(path) -> list[dict]:
-    rows = _read_csv(path)
-    for row in rows:
-        for key in ("B_radius", "W_radius", "mean", "stderr"):
-            if row.get(key) is not None:
-                row[key] = float(row[key])
-        for key in ("n", "k", "m", "num_sigma", "restarts", "seed"):
-            if row.get(key) is not None:
-                row[key] = int(row[key])
-    return rows
+    return _read_csv(path, floats=("B_radius", "W_radius", "mean", "stderr"),
+                     ints=("n", "k", "m", "num_sigma", "restarts", "seed"))
 
 
 def write_comparison_csv(path, rows) -> None:
@@ -250,12 +238,9 @@ def write_comparison_csv(path, rows) -> None:
 
 
 def read_comparison_csv(path) -> list[dict]:
-    rows = _read_csv(path)
-    for row in rows:
-        for key in ("estimate_mean", "estimate_stderr", "bound_value"):
-            if row.get(key) is not None:
-                row[key] = float(row[key])
-    return rows
+    return _read_csv(
+        path, floats=("estimate_mean", "estimate_stderr", "bound_value")
+    )
 
 
 def write_trace_csv(path, traces) -> None:

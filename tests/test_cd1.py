@@ -7,6 +7,7 @@ import pytest
 
 import rbmrad as rr
 from conftest import random_params
+from rbmrad import cd1
 
 LN2 = math.log(2.0)
 
@@ -147,6 +148,13 @@ class TestGradientStep:
         with pytest.raises(ValueError):
             rr.cd1_gradient_step(p, batch, -0.1)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, rng, rate):
+        p = bias_free(rng, 2, 2)
+        batch = rr.BinaryDataset(np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="learning_rate"):
+            rr.cd1_gradient_step(p, batch, rate)
+
 
 class TestTrainCd1:
     def test_epochs_zero_single_audit(self, rng):
@@ -188,3 +196,48 @@ class TestTrainCd1:
         data = rr.BinaryDataset(np.ones((1, 2)))
         trace = rr.train_cd1(init, data, 50, 0.1, 0)
         assert trace[-1].mean_exact_loglik >= trace[0].mean_exact_loglik
+
+    def test_one_params_per_audit_and_no_minibatch_datasets(self, rng, monkeypatch):
+        p = bias_free(rng, 3, 2, scale=0.5)
+        data = rr.sample_dataset(p, 70, 4)
+        built = {"RbmParams": 0, "BinaryDataset": 0}
+        for name in built:
+            original = getattr(cd1, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                built[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cd1, name, counting)
+        trace = rr.train_cd1(p, data, 5, 0.05, 9, audit_every=2)
+        assert built == {"RbmParams": len(trace), "BinaryDataset": 0}
+
+    def test_final_weights_match_chained_public_steps(self, rng, monkeypatch):
+        init = bias_free(rng, 4, 3, scale=0.1)
+        data = rr.sample_dataset(bias_free(rng, 4, 3), 75, 5)
+        epochs, rate, seed = 4, 0.2, 13
+        audited = []
+
+        def recording(*args, **kwargs):
+            audited.append(rr.RbmParams(*args, **kwargs))
+            return audited[-1]
+
+        monkeypatch.setattr(cd1, "RbmParams", recording)
+        rr.train_cd1(init, data, epochs, rate, seed, audit_every=epochs)
+        monkeypatch.undo()
+
+        params = init
+        batch_size = min(data.n, cd1.BATCH_CAP)
+        for epoch in range(1, epochs + 1):
+            order = np.random.default_rng([seed, epoch]).permutation(data.n)
+            for start in range(0, data.n, batch_size):
+                batch = rr.BinaryDataset(data.samples[order[start:start + batch_size]])
+                params = rr.cd1_gradient_step(params, batch, rate)
+        assert np.array_equal(audited[-1].W, params.W)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, rng, rate):
+        p = bias_free(rng, 3, 2)
+        data = rr.sample_dataset(p, 10, 1)
+        with pytest.raises(ValueError, match="learning_rate"):
+            rr.train_cd1(p, data, 1, rate, 7)

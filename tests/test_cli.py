@@ -112,6 +112,16 @@ class TestBounds:
         assert "LEMMA4_FINITE" not in names and "LEMMA1" in names
         assert "skipping LEMMA4_FINITE: no members file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["B_radius = nan", "W_radius = inf", "learning_rate = nan"]
+    )
+    def test_non_finite_real_exits_2(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert run("bounds", "--config", str(cfg), "--out", str(out)) == 2
+        assert not (out / "bounds.csv").exists()
+
 
 class TestEstimate:
     def test_missing_dataset_exits_4(self, tmp_path):
