@@ -98,11 +98,11 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     add("REMARK2", bc.bound_remark2, W=W, d=k, n=n)
     add("THEOREM1", bc.bound_theorem1, B=B, W=W, k=k, m=m, n=n)
     try:
-        finite = _finite_inputs(cfg)
+        t_max, ln_card_T = _finite_inputs(_members(cfg))
     except FileNotFoundError as exc:
         skip("LEMMA4_FINITE", f"no members file {exc.filename}")
     else:
-        add("LEMMA4_FINITE", bc.bound_lemma4_finite, **finite, n=n)
+        add("LEMMA4_FINITE", bc.bound_lemma4_finite, W=t_max, ln_card_T=ln_card_T, n=n)
     for vc in cfg.vc_values:
         add("SAUER_SHELAH", bc.sauer_shelah_ln_card, vc=vc, n=n)
         add("COROLLARY1", bc.bound_corollary1, W=W, k=k, m=m, n=n, vc=vc)
@@ -117,76 +117,79 @@ def _members(cfg: ExperimentConfig) -> list:
     return fileio.read_members(cfg.members_file or _path(cfg, "members.txt"))
 
 
-def _finite_inputs(cfg: ExperimentConfig) -> dict:
-    # LEMMA4_FINITE holds for the members FINITE_T is estimated on: |T| is
-    # their count and the largest |t| their largest column l1 norm.
-    members = _members(cfg)
+def _finite_inputs(members) -> tuple[float, float]:
+    # LEMMA4_FINITE holds for the members FINITE_T is estimated on: the
+    # largest |t| is their largest column l1 norm and |T| their count.
     t_max = max(float(np.abs(Wt).sum(axis=0).max()) for Wt, _, _ in members)
-    return {"W": t_max, "ln_card_T": math.log(len(members))}
+    return t_max, math.log(len(members))
+
+
+def _estimate_finite_t(cfg, data, spec, batch, opt):
+    # The members are read once, so the row records the W radius and ln |T|
+    # of the very list the estimate ran on.
+    members = _members(cfg)
+    t_max, ln_card_T = _finite_inputs(members)
+    report = estimate_R_finite_T(data, members, batch)
+    return report, {"W_radius": t_max, "ln_card_T": ln_card_T}
 
 
 @dataclass(frozen=True)
 class HypothesisClass:
     """How the CLI estimates one class and which closed form it is held to.
 
-    estimate(cfg, data, spec, batch, opt) returns the EstimateReport;
-    context names the config fields among m, B_radius and W_radius that
-    the estimate CSV records; bounds are the BOUND_KEYS names whose values
-    are summed into the comparator, none when the class has no closed form;
-    inputs(cfg) returns bound inputs the CSV does not record, read afresh.
+    estimate(cfg, data, spec, batch, opt) returns the EstimateReport and
+    the bound inputs it ran on that the config does not give; context
+    names the config fields among m, B_radius and W_radius that the
+    estimate CSV records; bounds are the BOUND_KEYS names whose values are
+    summed into the comparator, none when the class has no closed form.
     """
 
     estimate: Callable
     context: tuple = ()
     bounds: tuple = ()
-    inputs: Callable | None = None
 
 
 # The lambdas look the estimators up at call time, so a wrapper installed
 # on this module's globals sees every call.
 CLASSES = {
     "F": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_F(data, spec, batch),
+        lambda cfg, data, spec, batch, opt: (estimate_R_F(data, spec, batch), {}),
         context=("B_radius", "W_radius"),
         bounds=("LEMMA1",),
     ),
     "G": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_G(data, spec, batch),
+        lambda cfg, data, spec, batch, opt: (estimate_R_G(data, spec, batch), {}),
         context=("B_radius", "W_radius"),
         bounds=("REMARK2",),
     ),
     "H": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_H(data, spec, batch, opt),
+        lambda cfg, data, spec, batch, opt: (
+            estimate_R_H(data, spec, batch, opt), {}
+        ),
         context=("B_radius", "W_radius"),
         bounds=("LEMMA1", "REMARK2"),
     ),
     "LOGLIK_PART1": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_loglik_part1(
-            data, spec, cfg.m, batch, opt
+        lambda cfg, data, spec, batch, opt: (
+            estimate_R_loglik_part1(data, spec, cfg.m, batch, opt), {}
         ),
         context=("m", "B_radius", "W_radius"),
         bounds=("THEOREM1",),
     ),
     "T": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_T(
-            data, spec, cfg.m, batch, opt
+        lambda cfg, data, spec, batch, opt: (
+            estimate_R_T(data, spec, cfg.m, batch, opt), {}
         ),
         context=("m", "B_radius", "W_radius"),
     ),
     "CD1_LOGZ": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_cd1_logZ(
-            data, spec, cfg.m, batch, opt
+        lambda cfg, data, spec, batch, opt: (
+            estimate_R_cd1_logZ(data, spec, cfg.m, batch, opt), {}
         ),
         context=("m", "B_radius", "W_radius"),
         bounds=("COROLLARY1",),
     ),
-    "FINITE_T": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_finite_T(
-            data, _members(cfg), batch
-        ),
-        bounds=("LEMMA4_FINITE",),
-        inputs=_finite_inputs,
-    ),
+    "FINITE_T": HypothesisClass(_estimate_finite_t, bounds=("LEMMA4_FINITE",)),
 }
 
 # Bound name -> {bound input: estimate column it must equal}.  An input
@@ -196,7 +199,7 @@ BOUND_KEYS = {
     "LEMMA1": {"B": "B_radius", "d": "k", "n": "n"},
     "REMARK2": {"W": "W_radius", "d": "k", "n": "n"},
     "THEOREM1": {"B": "B_radius", "W": "W_radius", "k": "k", "m": "m", "n": "n"},
-    "LEMMA4_FINITE": {"n": "n", "W": "W", "ln_card_T": "ln_card_T"},
+    "LEMMA4_FINITE": {"W": "W_radius", "ln_card_T": "ln_card_T", "n": "n"},
     "COROLLARY1": {"W": "W_radius", "k": "k", "m": "m", "n": "n", "vc": None},
 }
 
@@ -209,13 +212,13 @@ def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
     batch = sample_sigma_batch(data.n, cfg.num_sigma, cfg.seed)
     spec = ConstraintSpec(B_radius=cfg.B_radius, W_radius=cfg.W_radius)
     opt = OptimizerSettings(restarts=cfg.restarts, iterations=cfg.iterations)
-    report = cls.estimate(cfg, data, spec, batch, opt)
+    report, recorded = cls.estimate(cfg, data, spec, batch, opt)
 
     context = {
         name: getattr(cfg, name) if name in cls.context else None
         for name in ("m", "B_radius", "W_radius")
     }
-    row = fileio.estimate_row(report, data.n, data.k, **context)
+    row = {**fileio.estimate_row(report, data.n, data.k, **context), **recorded}
     out = _path(cfg, f"estimate_{class_name}.csv")
     fileio.write_estimate_csv(out, [row])
     print(f"wrote {out}")
@@ -228,12 +231,12 @@ def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
 
 
 def _match(bound_rows, name, est):
-    keys = BOUND_KEYS[name]
+    keys = {key: col for key, col in BOUND_KEYS[name].items() if col is not None}
     return [
         row
         for row in bound_rows
         if row["bound_name"] == name
-        and all(col is None or row.get(key) == est[col] for key, col in keys.items())
+        and all(row.get(key) == est.get(col) for key, col in keys.items())
     ]
 
 
@@ -265,13 +268,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                 file=sys.stderr,
             )
             continue
-        if cls.inputs is not None:
-            try:
-                est = {**est, **cls.inputs(cfg)}
-            except FileNotFoundError as exc:
-                name = est["class_name"]
-                print(f"{name}: no members file {exc.filename}", file=sys.stderr)
-                continue
         choices = []
         for name in cls.bounds:
             found = _match(bound_rows, name, est)
@@ -290,15 +286,20 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             )
 
     # Probe of the abstract's claim: part-1 estimate against part-1 plus the
-    # CD-1 log-partition estimate, within combined Monte-Carlo noise.
-    firsts = {}
-    for est in estimates:
-        firsts.setdefault(est["class_name"], est)
-    if "LOGLIK_PART1" in firsts and "CD1_LOGZ" in firsts:
-        part1_est, cd1_est = firsts["LOGLIK_PART1"], firsts["CD1_LOGZ"]
-        combined = math.sqrt(part1_est["stderr"] ** 2 + cd1_est["stderr"] ** 2)
-        total = part1_est["mean"] + cd1_est["mean"]
-        rows.append(_comparison(part1_est, "PART1_PLUS_CD1_LOGZ", total, combined))
+    # CD-1 log-partition estimate, within combined Monte-Carlo noise.  The sum
+    # is meaningful only when both estimates ran on the same inputs.
+    by_class = {est["class_name"]: est for est in estimates}
+    part1_est, cd1_est = by_class.get("LOGLIK_PART1"), by_class.get("CD1_LOGZ")
+    if part1_est and cd1_est:
+        keys = ("n", "k", "m", "B_radius", "W_radius")
+        differ = ", ".join(key for key in keys if part1_est[key] != cd1_est[key])
+        if differ:
+            note = f"LOGLIK_PART1 and CD1_LOGZ differ in {differ}; row skipped"
+            print(f"PART1_PLUS_CD1_LOGZ: {note}", file=sys.stderr)
+        else:
+            combined = math.sqrt(part1_est["stderr"] ** 2 + cd1_est["stderr"] ** 2)
+            total = part1_est["mean"] + cd1_est["mean"]
+            rows.append(_comparison(part1_est, "PART1_PLUS_CD1_LOGZ", total, combined))
 
     fileio.write_comparison_csv(_path(cfg, "comparison.csv"), rows)
     print(f"wrote {_path(cfg, 'comparison.csv')}")

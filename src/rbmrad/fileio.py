@@ -20,7 +20,7 @@ from .rbm import BinaryDataset, RbmParams
 
 BOUNDS_HEADER = "bound_name,B,W,k,m,n,d,ln_card_T,vc,value"
 ESTIMATE_HEADER = (
-    "class_name,n,k,m,B_radius,W_radius,num_sigma,restarts,"
+    "class_name,n,k,m,B_radius,W_radius,ln_card_T,num_sigma,restarts,"
     "inner_sup_kind,mean,stderr,seed"
 )
 COMPARISON_HEADER = (
@@ -148,6 +148,8 @@ def read_members(path) -> list:
         u_tok, j_tok = lines[pos].split()
         u = _parse_tagged(u_tok, "u")
         j = _parse_tagged(j_tok, "j")
+        if not (0 <= u < k and 0 <= j < m):
+            raise ValueError(f"member index u={u} j={j} outside k={k} m={m}")
         W = np.array(
             [[float(v) for v in lines[pos + 1 + i].split()] for i in range(k)]
         )
@@ -229,8 +231,8 @@ def write_estimate_csv(path, rows) -> None:
 
 
 def read_estimate_csv(path) -> list[dict]:
-    return _read_csv(path, floats=("B_radius", "W_radius", "mean", "stderr"),
-                     ints=("n", "k", "m", "num_sigma", "restarts", "seed"))
+    return _read_csv(path, ints=("n", "k", "m", "num_sigma", "restarts", "seed"),
+                     floats=("B_radius", "W_radius", "ln_card_T", "mean", "stderr"))
 
 
 def write_comparison_csv(path, rows) -> None:

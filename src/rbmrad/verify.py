@@ -148,7 +148,7 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
 
 
 def suite_holder(seed: int = 0) -> SuiteResult:
-    """sup_linear_l1 against brute force over the 2d signed vertices."""
+    """sup_linear_l1 and _linear_values against the 2d signed vertices."""
     rng = np.random.default_rng([seed, 6])
     checks = failures = 0
     for _ in range(200):
@@ -157,13 +157,20 @@ def suite_holder(seed: int = 0) -> SuiteResult:
         v = rng.uniform(-4.0, 4.0, size=d)
         vertices = np.concatenate([radius * np.eye(d), -radius * np.eye(d)])
         gap = abs(rademacher.sup_linear_l1(v, radius) - (vertices @ v).max())
-        checks += 1
+        # F, G and the part-1 bias term take their inner sup from here
+        n = int(rng.integers(1, 9))
+        data = rbm.BinaryDataset(rng.integers(0, 2, size=(n, d)).astype(float))
+        batch = rademacher.sample_sigma_batch(n, 4, int(rng.integers(2**31)))
+        brute = (batch.sigma_vectors @ data.samples @ vertices.T).max(axis=1) / n
+        values = rademacher._linear_values(data, batch, radius)
+        checks += 2
         failures += gap > 1e-12
+        failures += np.abs(values - brute).max() > 1e-12
     return SuiteResult("holder", checks, failures)
 
 
 def suite_meanfield(seed: int = 0) -> SuiteResult:
-    """Mean-field ranges and the CD-1 log-partition composition identity."""
+    """Mean-field ranges, the CD-1 ln Z composition and CD1_LOGZ's row value."""
     rng = np.random.default_rng([seed, 7])
     checks = failures = 0
     for _ in range(50):
@@ -178,6 +185,13 @@ def suite_meanfield(seed: int = 0) -> SuiteResult:
         failures += not (np.all(x_tilde > 0.0) and np.all(x_tilde < 1.0))
         composed = float(rbm.softplus(x_tilde @ params.W).sum())
         failures += abs(cd1.cd1_log_partition(params, x) - composed) > 1e-12
+        # a CD1_LOGZ ascent row's value is sig'(cd1_log_partition of each x) / n
+        X = rng.integers(0, 2, size=(5, k)).astype(float)
+        sig = rng.integers(0, 2, size=5).astype(float) * 2.0 - 1.0
+        value = rademacher._cd1_logz_rows(params.W.reshape(1, -1), X, sig[None], m)[0]
+        direct = sig @ [cd1.cd1_log_partition(params, xi) for xi in X] / 5
+        checks += 1
+        failures += abs(value[0] - direct) > 1e-12
     zero = rbm.RbmParams(W=np.zeros((3, 2)), b=np.zeros(3), c=np.zeros(2))
     checks += 1
     failures += abs(

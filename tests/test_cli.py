@@ -157,6 +157,18 @@ class TestEstimate:
         assert row["inner_sup_kind"] == "finite-max"
         assert row["m"] is None and row["B_radius"] is None
 
+    def test_finite_T_member_index_out_of_range_exits_2(self, tmp_path, fast_cfg_path):
+        out = tmp_path / "out"
+        run("gen-data", "--config", fast_cfg_path, "--out", str(out))
+        fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 1, 1.0, 3))
+        lines = (out / "members.txt").read_text().splitlines()
+        lines[1] = "u=9 j=0"
+        (out / "members.txt").write_text("\n".join(lines) + "\n")
+        assert run(
+            "estimate", "FINITE_T", "--config", fast_cfg_path, "--out", str(out)
+        ) == 2
+        assert not (out / "estimate_FINITE_T.csv").exists()
+
     def test_unknown_class_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["estimate", "Q"])
@@ -170,6 +182,12 @@ class TestCompare:
         assert set(cli.CLASSES) == set(rad_mod.CLASS_NAMES)
         for entry in cli.CLASSES.values():
             assert set(entry.bounds) <= set(cli.BOUND_KEYS)
+        # Every join key names a column the two CSVs actually carry.
+        estimate_columns = fileio.ESTIMATE_HEADER.split(",")
+        bound_columns = fileio.BOUNDS_HEADER.split(",")
+        for keys in cli.BOUND_KEYS.values():
+            assert {col for col in keys.values() if col} <= set(estimate_columns)
+            assert set(keys) <= set(bound_columns)
 
     def test_pipeline_rows_and_pair_probe(self, tmp_path, fast_cfg_path, capsys):
         out = tmp_path / "out"
@@ -221,18 +239,55 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "FINITE_T: no LEMMA4_FINITE bound row with matching inputs" in err
 
-    def test_finite_t_skipped_without_members(self, tmp_path, fast_cfg_path, capsys):
+    def test_finite_t_compared_without_members(self, tmp_path, fast_cfg_path):
         out = tmp_path / "out"
         run("gen-data", "--config", fast_cfg_path, "--out", str(out))
-        fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 6, 1.0, 21))
+        members = rr.generate_members(4, 2, 6, 1.0, 21)
+        fileio.write_members(out / "members.txt", members)
         run("bounds", "--config", fast_cfg_path, "--out", str(out))
         for cls in ("F", "FINITE_T"):
             run("estimate", cls, "--config", fast_cfg_path, "--out", str(out))
+        # The estimate row records the inputs, so compare needs no members.
         os.remove(out / "members.txt")
         assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
         rows = fileio.read_comparison_csv(out / "comparison.csv")
-        assert [r["class_name"] for r in rows] == ["F"]
-        assert "FINITE_T: no members file" in capsys.readouterr().err
+        assert [r["class_name"] for r in rows] == ["F", "FINITE_T"]
+        t_max = max(np.abs(W).sum(axis=0).max() for W, _, _ in members)
+        assert rows[1]["bound_name"] == "LEMMA4_FINITE"
+        assert rows[1]["bound_value"] == rr.bound_lemma4_finite(t_max, np.log(6), 12)
+
+    def test_finite_t_estimate_not_held_to_a_later_bound(
+        self, tmp_path, fast_cfg_path, capsys
+    ):
+        out = tmp_path / "out"
+        run("gen-data", "--config", fast_cfg_path, "--out", str(out))
+        fileio.write_members(
+            out / "members.txt", rr.generate_members(4, 2, 256, 1.0, 3)
+        )
+        run("estimate", "FINITE_T", "--config", fast_cfg_path, "--out", str(out))
+        # The members and bounds change after the estimate.
+        fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 4, 1.0, 3))
+        run("bounds", "--config", fast_cfg_path, "--out", str(out))
+        assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
+        rows = fileio.read_comparison_csv(out / "comparison.csv")
+        assert not any(r["class_name"] == "FINITE_T" for r in rows)
+        err = capsys.readouterr().err
+        assert "FINITE_T: no LEMMA4_FINITE bound row with matching inputs" in err
+
+    def test_pair_probe_needs_matching_inputs(self, tmp_path, fast_cfg_path, capsys):
+        out = tmp_path / "out"
+        run("gen-data", "--config", fast_cfg_path, "--out", str(out))
+        run("bounds", "--config", fast_cfg_path, "--out", str(out))
+        m4 = tmp_path / "m4.cfg"
+        m4.write_text(FAST_CFG.replace("m = 2", "m = 4"))
+        run("estimate", "LOGLIK_PART1", "--config", str(m4), "--out", str(out))
+        run("estimate", "CD1_LOGZ", "--config", fast_cfg_path, "--out", str(out))
+        assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
+        rows = fileio.read_comparison_csv(out / "comparison.csv")
+        assert not any(r["bound_name"] == "PART1_PLUS_CD1_LOGZ" for r in rows)
+        err = capsys.readouterr().err
+        assert "LOGLIK_PART1: no THEOREM1 bound row with matching inputs" in err
+        assert "PART1_PLUS_CD1_LOGZ: LOGLIK_PART1 and CD1_LOGZ differ in m" in err
 
 
 class TestTrain:
@@ -289,6 +344,27 @@ class TestVerify:
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
         assert "failed suites: gradient" in captured
+
+    def test_broken_linear_values_caught(self, monkeypatch, capsys):
+        exact = rad_mod._linear_values
+        monkeypatch.setattr(
+            rad_mod, "_linear_values", lambda *args: exact(*args) + 1e-3
+        )
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: holder" in captured
+
+    def test_broken_cd1_logz_value_caught(self, monkeypatch, capsys):
+        exact = rad_mod._cd1_logz_rows
+
+        def shifted(*args):
+            value, grad = exact(*args)
+            return value + 1e-3, grad
+
+        monkeypatch.setattr(rad_mod, "_cd1_logz_rows", shifted)
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: meanfield" in captured
 
     def test_broken_t_gradient_caught(self, monkeypatch, capsys):
         exact = rad_mod._t_rows

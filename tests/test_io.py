@@ -86,6 +86,15 @@ class TestMembersFile:
         with pytest.raises(ValueError):
             fileio.write_members(tmp_path / "m.txt", [])
 
+    @pytest.mark.parametrize("line", ["u=-1 j=0", "u=3 j=0", "u=0 j=-1", "u=0 j=2"])
+    def test_index_out_of_range_rejected(self, tmp_path, line):
+        path = tmp_path / "m.txt"
+        fileio.write_members(path, rr.generate_members(3, 2, 1, 1.0, 13))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], line] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match="outside"):
+            fileio.read_members(path)
+
     def test_truncated_rejected(self, tmp_path):
         members = rr.generate_members(3, 2, 2, 1.0, 13)
         path = tmp_path / "m.txt"
