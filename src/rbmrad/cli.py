@@ -114,7 +114,11 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
 
 
 def _members(cfg: ExperimentConfig) -> list:
-    return fileio.read_members(cfg.members_file or _path(cfg, "members.txt"))
+    members = fileio.read_members(cfg.members_file or _path(cfg, "members.txt"))
+    k = len(members[0][0])  # one members file holds one k
+    if k != cfg.k:
+        raise ConfigError(f"members are built for k={k}, config has k={cfg.k}")
+    return members
 
 
 def _finite_inputs(members) -> tuple[float, float]:

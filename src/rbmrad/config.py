@@ -55,25 +55,21 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_INT_KEYS = ("k", "m", "n", "num_sigma", "restarts", "iterations", "seed",
-             "epochs", "audit_every")
-_FLOAT_KEYS = ("B_radius", "W_radius", "learning_rate")
-_STR_KEYS = ("data_source", "output_dir", "members_file", "init_params_file")
+# One parser per field annotation; vc_values is the one tuple, of ints.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "tuple": lambda raw: tuple(int(tok) for tok in raw.split(",") if tok.strip()),
+    "str": str,
+    "str | None": str,
+}
 
 
 def _parse_value(key: str, raw: str):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "vc_values":
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        if key in _STR_KEYS:
-            return raw
+        return _PARSERS[_FIELD_TYPES[key]](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -139,6 +139,8 @@ def read_members(path) -> list:
     k = _parse_tagged(k_tok, "k")
     m = _parse_tagged(m_tok, "m")
     count = _parse_tagged(count_tok, "count")
+    if count < 1:
+        raise ValueError(f"members file {path} lists count={count}; it needs a member")
     expected = 1 + count * (k + 1)
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines, found {len(lines)}")

@@ -7,14 +7,15 @@ supremum (an l1/l-infinity duality); the nonlinear classes use multi-restart
 projected gradient ascent, which only ever reports values of feasible
 points, so every estimate is a certified lower bound of the true supremum.
 That is the safe direction when estimates are compared against upper
-bounds.  The part-1 family (H, LOGLIK_PART1) bounds b and each w_j by
-separate balls, so its bias term takes the closed-form sup of F and its m
-hidden units share one k-dimensional ascent over w.  All four optimized
-classes ascend along analytic gradients: closed form for the part-1
-family, hand-written backpropagation through the two sigmoid layers for T
-and CD1_LOGZ.  One forward pass gives each row's value and gradient, and
-the ascent reuses an accepted point's gradient, so no point is evaluated
-twice.
+bounds.  One driver, _ascend, owns the feasible set of every optimized
+class (k x cols matrices with each column in the l1 ball of radius W): it
+draws the starts, projects, and floors each sigma vector's value at the
+class's own objective at the zero matrix.  An estimator passes only its
+row function.  The part-1 family (H, LOGLIK_PART1) bounds b and each w_j
+by separate balls, so its bias term takes the closed-form sup of F and
+its m hidden units share one ascent over w (cols = 1); T and CD1_LOGZ
+ascend over the whole W (cols = m).  All four follow analytic gradients,
+and one forward pass gives each row's value and gradient.
 
 Per-sigma work is independent: sigma index i always draws its optimizer
 randomness from the stream (master seed, i), so results do not depend on
@@ -35,7 +36,6 @@ from .rbm import BinaryDataset, sigmoid, softplus
 CLASS_NAMES = ("F", "G", "H", "LOGLIK_PART1", "T", "CD1_LOGZ", "FINITE_T")
 SUP_KINDS = ("analytic", "optimized", "finite-max")
 
-_LN2 = math.log(2.0)
 _STEP_SIZE = 0.1  # initial ascent step of every row
 _REL_TOL = 1e-9  # a row retires once an accepted move gains relatively less
 _MIN_STEP = 1e-14
@@ -160,6 +160,14 @@ def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
+def _project_columns(Z: np.ndarray, k: int, m: int, radius: float) -> np.ndarray:
+    # Rows hold flattened k x m matrices; each of the m columns gets its own
+    # l1 projection.
+    cols = Z.reshape(Z.shape[0], k, m).transpose(0, 2, 1).reshape(-1, k)
+    cols = _project_l1_rows(cols, radius)
+    return cols.reshape(Z.shape[0], m, k).transpose(0, 2, 1).reshape(Z.shape[0], -1)
+
+
 def project_l1(v, radius: float) -> np.ndarray:
     """Euclidean projection of one vector onto {u : ||u||_1 <= radius}.
 
@@ -277,42 +285,45 @@ def estimate_R_G(
 
 def _ascend(
     data: BinaryDataset,
+    spec: ConstraintSpec,
     batch: RademacherBatch,
     opt: OptimizerSettings,
-    m: int,
+    cols: int,
     block: int,
-    dim: int,
-    radius: float,
     objective,
-    project_fn,
-    floor,
 ) -> np.ndarray:
-    """Multi-restart ascent shared by the optimized classes.
+    """Multi-restart ascent over the feasible set of every optimized class.
 
-    Sigma vector i owns `block` consecutive rows of `dim` coordinates whose
-    starts come from the stream (seed, i), each uniform in [-radius, radius].
-    objective(Z, sig, slot) takes a row block, each row's sigma vector and
-    each row's position within its sigma vector's block, and returns each
-    row's value and gradient.  The per-sigma max over the block is floored
-    at `floor`, the objective at a parameter point that is always feasible,
-    and returned per sigma vector.
+    A row is a flattened k x cols matrix, and each of its columns lies in
+    the l1 ball of radius spec.W_radius.  Sigma vector i owns `block`
+    consecutive rows whose starts come from the stream (seed, i), each
+    coordinate uniform in [-W_radius, W_radius].  objective(Z, sig, slot)
+    takes a row block, each row's sigma vector and each row's position
+    within its sigma vector's block, and returns each row's value and
+    gradient.  Each sigma vector's max over its block is floored at the
+    objective's own value at the zero matrix in slot 0, a point that is
+    always feasible, so every returned value is attained by a feasible point.
     """
     _check_batch(data, batch)
     opt.validate()
-    if m < 1:
+    if cols < 1:
         raise ValueError("m must be positive")
     count = batch.sigma_vectors.shape[0]
+    k, radius = data.k, spec.W_radius
     sig_rows = np.repeat(batch.sigma_vectors, block, axis=0)
     starts = []
     for i in range(count):
         rng = np.random.default_rng([batch.seed, i])
-        starts.append(rng.uniform(-1.0, 1.0, size=(block, dim)) * radius)
+        starts.append(rng.uniform(-1.0, 1.0, size=(block, k * cols)) * radius)
     best = _pga(
         lambda Z, idx: objective(Z, sig_rows[idx], idx % block),
-        project_fn,
+        lambda Z: _project_columns(Z, k, cols, radius),
         np.concatenate(starts, axis=0),
         opt.iterations,
     )
+    floor = objective(
+        np.zeros((count, k * cols)), batch.sigma_vectors, np.zeros(count, dtype=int)
+    )[0]
     return np.maximum(best.reshape(count, block).max(axis=1), floor)
 
 
@@ -351,17 +362,12 @@ def _part1_family(
     # Shared class: x -> m b'x + sum_j ln(1 + exp(w_j'x)); H is the m = 1 case.
     # The balls on b and on each w_j are separate, so the value m (linear sup
     # + best w) is attained at b = B sign(v_q) e_q, w_1 = .. = w_m = w*.
+    if m < 1:
+        raise ValueError("m must be positive")
     X = data.samples
-    n, k = X.shape
     best_w = _ascend(
-        data, batch, opt, m,
-        block=opt.restarts,
-        dim=k,
-        radius=spec.W_radius,
-        objective=lambda Z, sig, slot: _part1_rows(Z, X, sig),
-        project_fn=lambda Z: _project_l1_rows(Z, spec.W_radius),
-        # w = 0 is always feasible; its objective is ln2 (sum_i sigma_i) / n.
-        floor=_LN2 * batch.sigma_vectors.sum(axis=1) / n,
+        data, spec, batch, opt, 1, opt.restarts,
+        lambda Z, sig, slot: _part1_rows(Z, X, sig),
     )
     values = m * (_linear_values(data, batch, spec.B_radius) + best_w)
     return _finalize(class_name, values, batch, "optimized", opt)
@@ -440,14 +446,6 @@ def _cd1_logz_rows(Z, X, sig_rows, m: int):
     return value, grad.reshape(Z.shape)
 
 
-def _project_columns(Z: np.ndarray, k: int, m: int, radius: float) -> np.ndarray:
-    # Rows hold flattened k x m matrices; each of the m columns gets its own
-    # l1 projection.
-    cols = Z.reshape(Z.shape[0], k, m).transpose(0, 2, 1).reshape(-1, k)
-    cols = _project_l1_rows(cols, radius)
-    return cols.reshape(Z.shape[0], m, k).transpose(0, 2, 1).reshape(Z.shape[0], -1)
-
-
 def estimate_R_T(
     data: BinaryDataset,
     spec: ConstraintSpec,
@@ -461,20 +459,13 @@ def estimate_R_T(
     the l1 ball).
     """
     X = data.samples
-    k = data.k
     # A sigma vector's block runs through the pairs (u, j) in row-major
     # order, with `restarts` consecutive rows per pair.
-    pair = np.arange(k * m * opt.restarts) // opt.restarts
+    pair = np.arange(data.k * m * opt.restarts) // opt.restarts
     U, J = pair // m, pair % m
     values = _ascend(
-        data, batch, opt, m,
-        block=pair.size,
-        dim=k * m,
-        radius=spec.W_radius,
-        objective=lambda Z, sig, slot: _t_rows(Z, X, sig, m, U[slot], J[slot]),
-        project_fn=lambda Z: _project_columns(Z, k, m, spec.W_radius),
-        # W = 0 is feasible and gives t identically 0.
-        floor=0.0,
+        data, spec, batch, opt, m, pair.size,
+        lambda Z, sig, slot: _t_rows(Z, X, sig, m, U[slot], J[slot]),
     )
     return _finalize("T", values, batch, "optimized", opt)
 
@@ -488,16 +479,9 @@ def estimate_R_cd1_logZ(
 ) -> EstimateReport:
     """Class x -> CD-1 approximate ln Z, optimized over column-bounded W."""
     X = data.samples
-    n, k = X.shape
     values = _ascend(
-        data, batch, opt, m,
-        block=opt.restarts,
-        dim=k * m,
-        radius=spec.W_radius,
-        objective=lambda Z, sig, slot: _cd1_logz_rows(Z, X, sig, m),
-        project_fn=lambda Z: _project_columns(Z, k, m, spec.W_radius),
-        # W = 0 is feasible and gives the value m ln2 at every x.
-        floor=m * _LN2 * batch.sigma_vectors.sum(axis=1) / n,
+        data, spec, batch, opt, m, opt.restarts,
+        lambda Z, sig, slot: _cd1_logz_rows(Z, X, sig, m),
     )
     return _finalize("CD1_LOGZ", values, batch, "optimized", opt)
 
@@ -510,6 +494,9 @@ def estimate_R_finite_T(
     members = list(members)
     if not members:
         raise ValueError("members must be nonempty")
+    for W, _, _ in members:
+        if len(W) != data.k:
+            raise ValueError(f"a member W has k={len(W)} rows, data has k={data.k}")
     table = np.stack([t_value(W, u, j, data.samples) for W, u, j in members])
     values = (batch.sigma_vectors @ table.T).max(axis=1) / data.n
     return _finalize("FINITE_T", values, batch, "finite-max")

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in-process via cli.main."""
 
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -112,6 +113,21 @@ class TestBounds:
         assert "LEMMA4_FINITE" not in names and "LEMMA1" in names
         assert "skipping LEMMA4_FINITE: no members file" in capsys.readouterr().err
 
+    def test_members_for_another_k_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 3, 1.0, 1))
+        assert run("bounds", "--out", str(out)) == 2
+        assert not (out / "bounds.csv").exists()
+        assert "members are built for k=4, config has k=6" in capsys.readouterr().err
+
+    def test_empty_members_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "members.txt").write_text("k=6 m=3 count=0\n")
+        assert run("bounds", "--out", str(out)) == 2
+        assert "count=0; it needs a member" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "line", ["B_radius = nan", "W_radius = inf", "learning_rate = nan"]
     )
@@ -168,6 +184,14 @@ class TestEstimate:
             "estimate", "FINITE_T", "--config", fast_cfg_path, "--out", str(out)
         ) == 2
         assert not (out / "estimate_FINITE_T.csv").exists()
+
+    def test_finite_T_members_for_another_k_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run("gen-data", "--out", str(out))
+        fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 3, 1.0, 1))
+        assert run("estimate", "FINITE_T", "--out", str(out)) == 2
+        assert not (out / "estimate_FINITE_T.csv").exists()
+        assert "members are built for k=4, config has k=6" in capsys.readouterr().err
 
     def test_unknown_class_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -389,6 +413,23 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "bounds.csv").exists()
+
+
+class TestTracedBenchmark:
+    def test_every_traced_global_exists(self):
+        # The traced benchmark wraps module globals by name, so a refactor
+        # that removes one makes install raise LookupError.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+        finally:
+            tracer.uninstall()
+        assert rad_mod.sigmoid is rbm_mod.sigmoid
+        assert cli.estimate_R_H is rr.estimate_R_H
 
 
 class TestInstalledScript:

@@ -95,6 +95,12 @@ class TestMembersFile:
         with pytest.raises(ValueError, match="outside"):
             fileio.read_members(path)
 
+    def test_zero_count_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("k=4 m=2 count=0\n")
+        with pytest.raises(ValueError, match="members file"):
+            fileio.read_members(path)
+
     def test_truncated_rejected(self, tmp_path):
         members = rr.generate_members(3, 2, 2, 1.0, 13)
         path = tmp_path / "m.txt"

@@ -191,6 +191,35 @@ class TestOptimizedClasses:
             )
 
 
+class TestFeasibleFloor:
+    """Every per-sigma value is attained: at W = 0 it is the row function at 0."""
+
+    def test_zero_radius_values_are_the_row_function_at_zero(self):
+        data = bernoulli_data(np.random.default_rng(3), 13, 4)
+        batch = rr.sample_sigma_batch(13, 40, 5)
+        spec = rr.ConstraintSpec(B_radius=0.0, W_radius=0.0)
+        X, sig = data.samples, batch.sigma_vectors
+        at_zero = rademacher._part1_rows(np.zeros((40, 4)), X, sig)[0]
+        h = rr.estimate_R_H(data, spec, batch, SMALL_OPT)
+        assert np.array_equal(h.per_sigma_values, at_zero)
+        p1 = rr.estimate_R_loglik_part1(data, spec, 3, batch, SMALL_OPT)
+        assert np.array_equal(p1.per_sigma_values, 3 * at_zero)
+        cd1 = rr.estimate_R_cd1_logZ(data, spec, 2, batch, SMALL_OPT)
+        cd1_at_zero = rademacher._cd1_logz_rows(np.zeros((40, 8)), X, sig, 2)[0]
+        assert np.array_equal(cd1.per_sigma_values, cd1_at_zero)
+        t = rr.estimate_R_T(data, spec, 2, batch, SMALL_OPT)
+        assert np.array_equal(t.per_sigma_values, np.zeros(40))
+
+    @pytest.mark.parametrize("estimator", [
+        rr.estimate_R_loglik_part1, rr.estimate_R_T, rr.estimate_R_cd1_logZ,
+    ])
+    def test_zero_hidden_units_rejected(self, rng, estimator):
+        data = bernoulli_data(rng, 6, 2)
+        spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
+        with pytest.raises(ValueError, match="m must be positive"):
+            estimator(data, spec, 0, rr.sample_sigma_batch(6, 3, 0), SMALL_OPT)
+
+
 class TestClassT:
     def test_zero_radius_exact_zero(self, rng):
         data = bernoulli_data(rng, 8, 3)
@@ -334,19 +363,22 @@ class TestAscentDriver:
         assert np.all(values <= 0.0) and np.all(values >= -1e-6)
 
     def test_one_objective_call_per_iteration(self, rng, monkeypatch):
+        # Plus one call for the floor: an all-zero Z, one row per sigma vector.
         calls = []
         rows = rademacher._part1_rows
 
         def counted(Z, *args):
-            calls.append(Z.shape[0])
+            calls.append((Z.shape[0], not Z.any()))
             return rows(Z, *args)
 
         monkeypatch.setattr(rademacher, "_part1_rows", counted)
         data = bernoulli_data(rng, 10, 3)
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         rr.estimate_R_H(data, spec, rr.sample_sigma_batch(10, 6, 8), SMALL_OPT)
-        assert 1 <= len(calls) <= SMALL_OPT.iterations + 1
-        assert calls[0] == 6 * SMALL_OPT.restarts
+        assert calls.count((6, True)) == 1
+        ascent = [c for c in calls if c != (6, True)]
+        assert 1 <= len(ascent) <= SMALL_OPT.iterations + 1
+        assert ascent[0][0] == 6 * SMALL_OPT.restarts
 
 
 class TestFiniteT:
@@ -373,6 +405,12 @@ class TestFiniteT:
         data = bernoulli_data(rng, 5, 2)
         with pytest.raises(ValueError):
             rr.estimate_R_finite_T(data, [], rr.sample_sigma_batch(5, 3, 0))
+
+    def test_members_for_another_k_rejected(self, rng):
+        data = bernoulli_data(rng, 5, 6)
+        members = rr.generate_members(4, 2, 3, 1.0, 1)
+        with pytest.raises(ValueError, match="k=4 rows, data has k=6"):
+            rr.estimate_R_finite_T(data, members, rr.sample_sigma_batch(5, 3, 0))
 
     def test_member_columns_within_radius(self):
         members = rr.generate_members(5, 3, 40, 0.8, 11)
