@@ -70,9 +70,10 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
             if norm > cfg.W_radius and norm > 0.0:
                 W[:, j] *= cfg.W_radius / norm
         params = RbmParams(W=W, b=np.zeros(cfg.k), c=np.zeros(cfg.m))
+        # Sample before writing, so a failed draw leaves no unpaired params.txt.
+        data = sample_dataset(params, cfg.n, cfg.seed)
         fileio.write_params(_path(cfg, "params.txt"), params)
         print(f"wrote {_path(cfg, 'params.txt')}")
-        data = sample_dataset(params, cfg.n, cfg.seed)
     fileio.write_dataset(_path(cfg, "dataset.txt"), data)
     print(f"wrote {_path(cfg, 'dataset.txt')}")
     return EXIT_OK

@@ -63,6 +63,20 @@ class TestGenData:
         assert np.all(params.b == 0.0) and np.all(params.c == 0.0)
         assert fileio.read_dataset(out / "dataset.txt").n == 30
 
+    def test_ground_truth_too_wide_leaves_pair_untouched(self, tmp_path):
+        out = tmp_path / "out"
+        small = tmp_path / "small.cfg"
+        small.write_text("k = 4\nm = 3\nn = 30\ndata_source = ground-truth-rbm\n")
+        assert run("gen-data", "--config", str(small), "--out", str(out)) == 0
+        before = {name: (out / name).read_bytes()
+                  for name in ("params.txt", "dataset.txt")}
+        wide = tmp_path / "wide.cfg"
+        wide.write_text(f"k = {rbm_mod.MAX_VISIBLE_ENUM + 1}\nm = 3\nn = 30\n"
+                        "data_source = ground-truth-rbm\n")
+        assert run("gen-data", "--config", str(wide), "--out", str(out)) == 2
+        for name, content in before.items():
+            assert (out / name).read_bytes() == content
+
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("k = 0\n")

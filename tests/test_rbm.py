@@ -1,6 +1,8 @@
 """Exact-model operations: energies, factorizations, partition functions."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbmrad as rr
+from rbmrad import rbm as rbm_mod
 from conftest import random_params
 
 LN2 = math.log(2.0)
@@ -146,8 +149,12 @@ class TestLogPartition:
             )
 
     def test_chunked_bruteforce_still_agrees(self, rng):
-        # k + m large enough that the x block is split into chunks
-        p = random_params(rng, 12, 11, scale=0.5)
+        # k + m large enough that the x block is split into chunks, and k
+        # large enough that the split enumeration walks several blocks of
+        # its high half.
+        k, m = 12, 11
+        assert 2 ** (k - k // 2) >= 3 * rbm_mod._CHUNK_ROWS
+        p = random_params(rng, k, m, scale=0.5)
         assert rr.log_partition_factorized(p) == pytest.approx(
             rr.log_partition_bruteforce(p), abs=1e-9
         )
@@ -204,6 +211,17 @@ class TestExactDistribution:
                 math.exp(rr.exact_log_likelihood(p, x)), abs=1e-10
             )
 
+    def test_split_order_every_k(self, rng):
+        # Odd k and k = 1 (an empty low half) included.
+        for k in range(1, 10):
+            p = random_params(rng, k, 3)
+            dist = rr.exact_distribution(p)
+            expected = [
+                math.exp(rr.free_energy_part1(p, x) - dist.log_partition)
+                for x in rr.enumerate_configs(k)
+            ]
+            assert np.allclose(dist.probabilities, expected, rtol=0.0, atol=1e-12)
+
     def test_normalization(self, rng):
         p = random_params(rng, 5, 4)
         assert abs(rr.exact_distribution(p).probabilities.sum() - 1.0) <= 1e-10
@@ -219,6 +237,12 @@ class TestSampleDataset:
         means = data.samples.mean(axis=0)
         assert np.all(means >= 0.47) and np.all(means <= 0.53)
 
+    def test_draws_decode_bit_order(self):
+        # Nearly all mass on x = (1, 0, 1), index 5.
+        p = rr.RbmParams(W=np.zeros((3, 1)), b=[40.0, -40.0, 40.0], c=[0.0])
+        data = rr.sample_dataset(p, 50, 2)
+        assert np.all(data.samples == [1.0, 0.0, 1.0])
+
     def test_seed_determinism(self, rng):
         p = random_params(rng, 3, 2)
         a = rr.sample_dataset(p, 100, 5)
@@ -231,6 +255,9 @@ class TestConventions:
         assert np.array_equal(
             rr.enumerate_configs(2), [[0, 0], [1, 0], [0, 1], [1, 1]]
         )
+        assert rr.enumerate_configs(0).shape == (1, 0)
+        with pytest.raises(ValueError):
+            rr.enumerate_configs(-1)
 
     def test_softplus_lipschitz(self, rng):
         g1 = rng.uniform(-50, 50, size=100_000)
@@ -242,6 +269,22 @@ class TestConventions:
     def test_softplus_stable_at_extremes(self):
         assert rr.softplus(800.0) == 800.0
         assert rr.softplus(-800.0) == 0.0
+        assert isinstance(rr.softplus(800.0), np.float64)
+        g = np.array([np.inf, -np.inf])
+        assert np.array_equal(rr.softplus(g), [np.inf, 0.0])
+        assert np.isnan(rr.softplus(np.nan))
+
+    def test_softplus_matches_logaddexp_to_one_ulp(self):
+        g = np.linspace(-60.0, 60.0, 1_200_001)
+        ref = np.logaddexp(0.0, g)
+        ulp = np.spacing(np.maximum(1.0, np.abs(ref)))
+        assert np.all(np.abs(rr.softplus(g) - ref) <= ulp)
+
+    def test_softplus_raises_no_warning(self):
+        g = np.array([-800.0, 800.0, -np.inf, np.inf, np.nan, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rr.softplus(g)
 
     def test_dataset_log_likelihoods_matches_scalar(self, rng):
         p = random_params(rng, 4, 2)
@@ -251,3 +294,26 @@ class TestConventions:
             assert vec[i] == pytest.approx(
                 rr.exact_log_likelihood(p, data.samples[i]), abs=1e-12
             )
+
+
+class TestMemory:
+    """The split enumeration keeps k = m = 20 far below a 2^20 x 20 table."""
+
+    LIMIT = 64 * 2 ** 20
+
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_log_partition_peak(self, rng):
+        p = random_params(rng, 20, 20, scale=0.25)
+        assert self.peak_bytes(rr.log_partition_factorized, p) < self.LIMIT
+
+    def test_sample_dataset_peak(self, rng):
+        p = random_params(rng, 20, 20, scale=0.25)
+        assert self.peak_bytes(rr.sample_dataset, p, 1000, 3) < self.LIMIT
