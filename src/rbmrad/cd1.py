@@ -28,26 +28,6 @@ BATCH_CAP = 32
 
 
 @dataclass(frozen=True)
-class MeanFieldState:
-    """One mean-field sweep: h_tilde from x, then x_tilde from h_tilde."""
-
-    h_tilde: np.ndarray
-    x_tilde: np.ndarray
-    source_x: np.ndarray
-
-    def __post_init__(self):
-        for name in ("h_tilde", "x_tilde"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-                raise ValueError(f"{name} entries must lie strictly in (0, 1)")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        src = np.asarray(self.source_x, dtype=float)
-        src.flags.writeable = False
-        object.__setattr__(self, "source_x", src)
-
-
-@dataclass(frozen=True)
 class TrainingTrace:
     """One audit row of a CD-1 training run."""
 
@@ -71,14 +51,6 @@ def meanfield_visible(params: RbmParams, h_tilde) -> np.ndarray:
     if np.any(hv <= 0.0) or np.any(hv >= 1.0):
         raise ValueError("h_tilde entries must lie strictly in (0, 1)")
     return sigmoid(params.W @ hv)
-
-
-def mean_field_state(params: RbmParams, x) -> MeanFieldState:
-    """Full sweep packaged with its source vector."""
-    h_tilde = meanfield_hidden(params, x)
-    x_tilde = meanfield_visible(params, h_tilde)
-    xv = _check_binary_vector(x, params.k, "x")
-    return MeanFieldState(h_tilde=h_tilde, x_tilde=x_tilde, source_x=xv)
 
 
 def cd1_log_partition(params: RbmParams, x) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 MAX_VISIBLE_ENUM = 20
 MAX_HIDDEN_ENUM = 20
@@ -37,6 +37,13 @@ def softplus(g):
     log1p, it runs several times faster than logaddexp on large arrays.
     """
     return np.maximum(g, 0.0) + np.log1p(np.exp(-np.abs(g)))
+
+
+def logsumexp(v) -> float:
+    """ln sum_i e^(v_i) over all entries of v, shifted by the largest one."""
+    a = np.max(v)
+    shifted = np.subtract(v, a)
+    return float(a + np.log(np.exp(shifted, out=shifted).sum()))
 
 
 def sigmoid(g):

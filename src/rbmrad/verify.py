@@ -26,7 +26,7 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _random_params(rng, k: int, m: int, scale: float = 2.0) -> rbm.RbmParams:
+def random_params(rng, k: int, m: int, scale: float = 2.0) -> rbm.RbmParams:
     return rbm.RbmParams(
         W=rng.uniform(-scale, scale, size=(k, m)),
         b=rng.uniform(-scale, scale, size=k),
@@ -34,48 +34,102 @@ def _random_params(rng, k: int, m: int, scale: float = 2.0) -> rbm.RbmParams:
     )
 
 
+def _random_machine(rng, high: int) -> rbm.RbmParams:
+    # k, then m, each uniform on [1, high), then the parameters
+    k = int(rng.integers(1, high))
+    return random_params(rng, k, int(rng.integers(1, high)))
+
+
+def factorization_gaps(rng, machines: int, draws: int, high: int) -> np.ndarray:
+    """|free_energy_part1 - 2^m hidden enumeration| at draws x per machine."""
+    gaps = []
+    for _ in range(machines):
+        params = _random_machine(rng, high)
+        for _ in range(draws):
+            x = rng.integers(0, 2, size=params.k).astype(float)
+            gaps.append(abs(
+                rbm.free_energy_part1(params, x) - rbm.part1_bruteforce(params, x)
+            ))
+    return np.array(gaps)
+
+
+def partition_gaps(rng, machines: int, k_high: int, km_high: int) -> np.ndarray:
+    """|factorized ln Z - double enumeration| with k < k_high, k + m < km_high."""
+    gaps = []
+    for _ in range(machines):
+        k = int(rng.integers(1, k_high))
+        params = random_params(rng, k, int(rng.integers(1, km_high - k)))
+        gaps.append(abs(
+            rbm.log_partition_factorized(params)
+            - rbm.log_partition_bruteforce(params)
+        ))
+    return np.array(gaps)
+
+
+def lipschitz_violations(rng, pairs: int) -> np.ndarray:
+    """Pairs on [-50, 50] where |softplus(g1) - softplus(g2)| > |g1 - g2|."""
+    g1 = rng.uniform(-50.0, 50.0, size=pairs)
+    g2 = rng.uniform(-50.0, 50.0, size=pairs)
+    return np.abs(rbm.softplus(g1) - rbm.softplus(g2)) > np.abs(g1 - g2) + 1e-12
+
+
+def meanfield_gaps(rng, machines: int, high: int):
+    """|cd1_log_partition - its mean-field composition| at one x per machine.
+
+    Also returns, per machine, whether h_tilde and x_tilde leave (0, 1).
+    """
+    gaps, outside = [], []
+    for _ in range(machines):
+        params = _random_machine(rng, high)
+        x = rng.integers(0, 2, size=params.k).astype(float)
+        h_tilde = cd1.meanfield_hidden(params, x)
+        x_tilde = cd1.meanfield_visible(params, h_tilde)
+        outside.append([np.any((v <= 0.0) | (v >= 1.0)) for v in (h_tilde, x_tilde)])
+        composed = float(rbm.softplus(x_tilde @ params.W).sum())
+        gaps.append(abs(cd1.cd1_log_partition(params, x) - composed))
+    return np.array(gaps), np.array(outside)
+
+
+def ascent_instance(rng, n: int, k: int, m: int):
+    """Data X (n x k binary), signs sig and a point z of (m + 1) k entries."""
+    X = rng.integers(0, 2, size=(n, k)).astype(float)
+    sig = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+    return X, sig, rng.uniform(-1.0, 1.0, size=(m + 1) * k)
+
+
+def gradient_gap(objective, z: np.ndarray) -> float:
+    """Relative gap between objective's gradient and differences of its value."""
+    analytic = objective(z)[1]
+    fd = np.array([
+        objective(z + e)[0] - objective(z - e)[0] for e in 1e-5 * np.eye(z.size)
+    ]) / 2e-5
+    # denominator floored at 1: zero-gradient instances otherwise divide
+    # finite-difference ulp noise by an arbitrary tiny constant
+    return np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
+
+
+def part1_gradient_gap(X, sig, m: int, z: np.ndarray) -> float:
+    """gradient_gap of rademacher.part1_gradient against part1_objective."""
+    pair = (rademacher.part1_objective, rademacher.part1_gradient)
+    return gradient_gap(lambda p: [f(p, X, sig, m) for f in pair], z)
+
+
 def suite_factorization(seed: int = 0) -> SuiteResult:
     """free_energy_part1 against the 2^m hidden enumeration."""
-    rng = np.random.default_rng([seed, 1])
-    checks = failures = 0
-    for _ in range(50):
-        k = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 7))
-        params = _random_params(rng, k, m)
-        for _ in range(4):
-            x = rng.integers(0, 2, size=k).astype(float)
-            gap = abs(
-                rbm.free_energy_part1(params, x) - rbm.part1_bruteforce(params, x)
-            )
-            checks += 1
-            failures += gap > 1e-9
-    return SuiteResult("factorization", checks, failures)
+    gaps = factorization_gaps(np.random.default_rng([seed, 1]), 50, 4, 7)
+    return SuiteResult("factorization", gaps.size, int((gaps > 1e-9).sum()))
 
 
 def suite_partition(seed: int = 0) -> SuiteResult:
     """Factorized ln Z against the double enumeration."""
-    rng = np.random.default_rng([seed, 2])
-    checks = failures = 0
-    for _ in range(25):
-        k = int(rng.integers(1, 8))
-        m = int(rng.integers(1, min(8, 11 - k)))
-        params = _random_params(rng, k, m)
-        gap = abs(
-            rbm.log_partition_factorized(params)
-            - rbm.log_partition_bruteforce(params)
-        )
-        checks += 1
-        failures += gap > 1e-9
-    return SuiteResult("partition", checks, failures)
+    gaps = partition_gaps(np.random.default_rng([seed, 2]), 25, 8, 11)
+    return SuiteResult("partition", gaps.size, int((gaps > 1e-9).sum()))
 
 
 def suite_lipschitz(seed: int = 0) -> SuiteResult:
     """|softplus(g1) - softplus(g2)| <= |g1 - g2| on [-50, 50]."""
-    rng = np.random.default_rng([seed, 3])
-    g1 = rng.uniform(-50.0, 50.0, size=100_000)
-    g2 = rng.uniform(-50.0, 50.0, size=100_000)
-    bad = np.abs(rbm.softplus(g1) - rbm.softplus(g2)) > np.abs(g1 - g2) + 1e-12
-    return SuiteResult("lipschitz", g1.size, int(bad.sum()))
+    bad = lipschitz_violations(np.random.default_rng([seed, 3]), 100_000)
+    return SuiteResult("lipschitz", bad.size, int(bad.sum()))
 
 
 def suite_projection(seed: int = 0) -> SuiteResult:
@@ -101,19 +155,6 @@ def suite_projection(seed: int = 0) -> SuiteResult:
     return SuiteResult("projection", checks, failures)
 
 
-def _gradient_gap(objective, z: np.ndarray) -> float:
-    """Relative gap between objective's gradient and differences of its value."""
-    analytic = objective(z)[1]
-    fd = np.empty_like(z)
-    for q in range(z.size):
-        shift = np.zeros(z.size)
-        shift[q] = 1e-5
-        fd[q] = (objective(z + shift)[0] - objective(z - shift)[0]) / 2e-5
-    # denominator floored at 1: zero-gradient instances otherwise divide
-    # finite-difference ulp noise by an arbitrary tiny constant
-    return np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
-
-
 def suite_gradient(seed: int = 0) -> SuiteResult:
     """The ascent gradients against central differences of their objectives.
 
@@ -126,22 +167,14 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, 5))
         m = int(rng.integers(1, 4))
-        X = rng.integers(0, 2, size=(n, k)).astype(float)
-        sig = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-        z = rng.uniform(-1.0, 1.0, size=(m + 1) * k)
-        gaps = [_gradient_gap(
-            lambda p: (
-                rademacher.part1_objective(p, X, sig, m),
-                rademacher.part1_gradient(p, X, sig, m),
-            ),
-            z,
-        )]
+        X, sig, z = ascent_instance(rng, n, k, m)
+        gaps = [part1_gradient_gap(X, sig, m, z)]
         # the w block doubles as one flattened k x m matrix W
         def one_row(rows_fn, *pair):
             return lambda W: [a[0] for a in rows_fn(W[None], X, sig[None], m, *pair)]
-        gaps.append(_gradient_gap(one_row(rademacher._cd1_logz_rows), z[k:]))
+        gaps.append(gradient_gap(one_row(rademacher._cd1_logz_rows), z[k:]))
         for u, j in np.ndindex(k, m):
-            gaps.append(_gradient_gap(one_row(rademacher._t_rows, [u], [j]), z[k:]))
+            gaps.append(gradient_gap(one_row(rademacher._t_rows, [u], [j]), z[k:]))
         checks += len(gaps)
         failures += sum(gap > 1e-4 for gap in gaps)
     return SuiteResult("gradient", checks, failures)
@@ -171,27 +204,19 @@ def suite_holder(seed: int = 0) -> SuiteResult:
 
 def suite_meanfield(seed: int = 0) -> SuiteResult:
     """Mean-field ranges, the CD-1 ln Z composition and CD1_LOGZ's row value."""
-    rng = np.random.default_rng([seed, 7])
-    checks = failures = 0
+    gaps, outside = meanfield_gaps(np.random.default_rng([seed, 7]), 50, 7)
+    checks = gaps.size + outside.size
+    failures = int((gaps > 1e-12).sum() + outside.sum())
+    # a CD1_LOGZ ascent row's value is sig'(cd1_log_partition of each x) / n
+    rng = np.random.default_rng([seed, 8])
     for _ in range(50):
-        k = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 7))
-        params = _random_params(rng, k, m)
-        x = rng.integers(0, 2, size=k).astype(float)
-        h_tilde = cd1.meanfield_hidden(params, x)
-        x_tilde = cd1.meanfield_visible(params, h_tilde)
-        checks += 3
-        failures += not (np.all(h_tilde > 0.0) and np.all(h_tilde < 1.0))
-        failures += not (np.all(x_tilde > 0.0) and np.all(x_tilde < 1.0))
-        composed = float(rbm.softplus(x_tilde @ params.W).sum())
-        failures += abs(cd1.cd1_log_partition(params, x) - composed) > 1e-12
-        # a CD1_LOGZ ascent row's value is sig'(cd1_log_partition of each x) / n
-        X = rng.integers(0, 2, size=(5, k)).astype(float)
-        sig = rng.integers(0, 2, size=5).astype(float) * 2.0 - 1.0
-        value = rademacher._cd1_logz_rows(params.W.reshape(1, -1), X, sig[None], m)[0]
+        params = _random_machine(rng, 7)
+        X, sig, _ = ascent_instance(rng, 5, params.k, params.m)
+        W = params.W.reshape(1, -1)
+        value = rademacher._cd1_logz_rows(W, X, sig[None], params.m)[0][0]
         direct = sig @ [cd1.cd1_log_partition(params, xi) for xi in X] / 5
         checks += 1
-        failures += abs(value[0] - direct) > 1e-12
+        failures += abs(value - direct) > 1e-12
     zero = rbm.RbmParams(W=np.zeros((3, 2)), b=np.zeros(3), c=np.zeros(2))
     checks += 1
     failures += abs(

@@ -5,18 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from rbmrad import RbmParams
+# test modules import random_params from here
+from rbmrad.verify import random_params  # noqa: F401
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _acceptance_outcomes = {}
-
-
-def random_params(rng, k, m, scale=2.0):
-    return RbmParams(
-        W=rng.uniform(-scale, scale, size=(k, m)),
-        b=rng.uniform(-scale, scale, size=k),
-        c=rng.uniform(-scale, scale, size=m),
-    )
 
 
 @pytest.fixture

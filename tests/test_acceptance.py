@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rbmrad as rr
-from rbmrad import rademacher
+from rbmrad import verify
 from rbmrad.rbm import RbmParams
 
 # Spot values re-derived from the defining formulas at 40-digit precision.
@@ -26,29 +26,11 @@ def bernoulli(seed, n, k):
     return rr.BinaryDataset(rng.integers(0, 2, size=(n, k)).astype(float))
 
 
-def random_params(rng, k, m, scale=2.0):
-    return RbmParams(
-        W=rng.uniform(-scale, scale, size=(k, m)),
-        b=rng.uniform(-scale, scale, size=k),
-        c=rng.uniform(-scale, scale, size=m),
-    )
-
-
 def test_criterion_01():
     """Hidden-unit factorization equals the 2^m enumeration, 200 machines."""
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(200):
-        k = int(rng.integers(1, 9))
-        m = int(rng.integers(1, 9))
-        params = random_params(rng, k, m)
-        for _ in range(10):
-            x = rng.integers(0, 2, size=k).astype(float)
-            gap = abs(
-                rr.free_energy_part1(params, x) - rr.part1_bruteforce(params, x)
-            )
-            worst = max(worst, gap)
+    worst = verify.factorization_gaps(rng, 200, 10, 9).max()
     elapsed = time.perf_counter() - start
     print(f"criterion 1: worst gap {worst:.3e}, {elapsed:.2f}s")
     assert worst <= 1e-9
@@ -59,15 +41,7 @@ def test_criterion_02():
     """Factorized ln Z equals the joint enumeration for k + m <= 14."""
     start = time.perf_counter()
     rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(100):
-        k = int(rng.integers(1, 14))
-        m = int(rng.integers(1, 15 - k))
-        params = random_params(rng, k, m)
-        gap = abs(
-            rr.log_partition_factorized(params) - rr.log_partition_bruteforce(params)
-        )
-        worst = max(worst, gap)
+    worst = verify.partition_gaps(rng, 100, 14, 15).max()
     elapsed = time.perf_counter() - start
     print(f"criterion 2: worst gap {worst:.3e}, {elapsed:.2f}s")
     assert worst <= 1e-9
@@ -78,11 +52,7 @@ def test_criterion_03():
     """softplus is 1-Lipschitz on [-50, 50]: 1e5 pairs, zero violations."""
     start = time.perf_counter()
     rng = np.random.default_rng(103)
-    g1 = rng.uniform(-50.0, 50.0, size=100_000)
-    g2 = rng.uniform(-50.0, 50.0, size=100_000)
-    violations = int(
-        (np.abs(rr.softplus(g1) - rr.softplus(g2)) > np.abs(g1 - g2) + 1e-12).sum()
-    )
+    violations = int(verify.lipschitz_violations(rng, 100_000).sum())
     elapsed = time.perf_counter() - start
     print(f"criterion 3: {violations} violations, {elapsed:.2f}s")
     assert violations == 0
@@ -159,16 +129,8 @@ def test_criterion_08():
     """CD-1 log-partition equals its explicit mean-field composition."""
     start = time.perf_counter()
     rng = np.random.default_rng(108)
-    worst = 0.0
-    for _ in range(200):
-        k = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 7))
-        params = random_params(rng, k, m)
-        x = rng.integers(0, 2, size=k).astype(float)
-        h_tilde = rr.meanfield_hidden(params, x)
-        x_tilde = rr.meanfield_visible(params, h_tilde)
-        composed = float(rr.softplus(x_tilde @ params.W).sum())
-        worst = max(worst, abs(rr.cd1_log_partition(params, x) - composed))
+    gaps, _ = verify.meanfield_gaps(rng, 200, 7)
+    worst = gaps.max()
     elapsed = time.perf_counter() - start
     print(f"criterion 8: worst gap {worst:.3e}, {elapsed:.2f}s")
     assert worst <= 1e-12
@@ -217,24 +179,8 @@ def test_criterion_11():
         for _ in range(100):
             n = int(rng.integers(2, 11))
             k = int(rng.integers(1, 6))
-            X = rng.integers(0, 2, size=(n, k)).astype(float)
-            sig = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-            z = rng.uniform(-1.0, 1.0, size=(m + 1) * k)
-            analytic = rademacher.part1_gradient(z, X, sig, m)
-            fd = np.empty_like(z)
-            for q in range(z.size):
-                shift = np.zeros(z.size)
-                shift[q] = 1e-5
-                fd[q] = (
-                    rademacher.part1_objective(z + shift, X, sig, m)
-                    - rademacher.part1_objective(z - shift, X, sig, m)
-                ) / 2e-5
-            # floor the denominator at 1: a constant objective has an exact
-            # zero gradient while the difference quotient keeps ulp noise
-            rel = np.linalg.norm(analytic - fd) / max(
-                1.0, np.linalg.norm(analytic)
-            )
-            worst = max(worst, rel)
+            X, sig, z = verify.ascent_instance(rng, n, k, m)
+            worst = max(worst, verify.part1_gradient_gap(X, sig, m, z))
         print(f"criterion 11 (m={m}): worst relative error {worst:.3e}")
         assert worst <= 1e-4
 

@@ -54,13 +54,6 @@ class TestMeanFieldVisible:
         with pytest.raises(ValueError):
             rr.meanfield_visible(p, [0.0, 0.5])
 
-    def test_state_roundtrip(self, rng):
-        p = random_params(rng, 3, 2)
-        state = rr.mean_field_state(p, [1, 0, 1])
-        assert np.all((state.h_tilde > 0) & (state.h_tilde < 1))
-        assert np.all((state.x_tilde > 0) & (state.x_tilde < 1))
-        assert np.array_equal(state.source_x, [1, 0, 1])
-
 
 class TestCd1LogPartition:
     def test_zero_weights(self):

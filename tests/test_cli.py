@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import rbmrad as rr
+from rbmrad import cd1 as cd1_mod
 from rbmrad import cli, fileio
 from rbmrad import rademacher as rad_mod
 from rbmrad import rbm as rbm_mod
@@ -357,6 +359,16 @@ class TestVerify:
         captured = capsys.readouterr().out
         assert "all suites passed" in captured
         assert captured.count("[ok]") == 7
+        counts = dict(re.findall(r"suite (\w+): \d+/(\d+) checks", captured))
+        assert counts == {
+            "factorization": "200",
+            "partition": "25",
+            "lipschitz": "100000",
+            "projection": "600",
+            "gradient": "161",
+            "holder": "400",
+            "meanfield": "201",
+        }
 
     def test_injected_fault_caught(self, monkeypatch, capsys):
         exact = rbm_mod.free_energy_part1
@@ -366,6 +378,24 @@ class TestVerify:
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
         assert "failed suites: factorization" in captured
+
+    def test_shifted_log_partition_caught(self, monkeypatch, capsys):
+        exact = rbm_mod.log_partition_factorized
+        monkeypatch.setattr(
+            rbm_mod, "log_partition_factorized", lambda params: exact(params) + 1e-3
+        )
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: partition" in captured
+
+    def test_shifted_cd1_log_partition_caught(self, monkeypatch, capsys):
+        exact = cd1_mod.cd1_log_partition
+        monkeypatch.setattr(
+            cd1_mod, "cd1_log_partition", lambda params, x: exact(params, x) + 1e-3
+        )
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: meanfield" in captured
 
     def test_broken_ascent_gradient_caught(self, monkeypatch, capsys):
         exact = rad_mod._part1_rows

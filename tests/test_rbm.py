@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 import rbmrad as rr
 from rbmrad import rbm as rbm_mod
@@ -164,6 +165,26 @@ class TestLogPartition:
             rr.log_partition_factorized(zero_params(21, 1))
         with pytest.raises(rr.EnumerationLimitError):
             rr.log_partition_bruteforce(zero_params(13, 12))
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("size", [1, 64, 2**20])
+    def test_matches_scipy(self, rng, size):
+        v = rng.normal(0.0, 10.0, size=size)
+        expected = scipy_logsumexp(v)
+        assert rbm_mod.logsumexp(v) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("level", [700.0, -700.0])
+    def test_no_overflow(self, level):
+        value = rbm_mod.logsumexp(np.full(64, level))
+        assert value == pytest.approx(level + math.log(64.0), rel=1e-15, abs=0)
+
+    def test_list_and_matrix_inputs(self, rng):
+        v = rng.normal(size=(8, 4))
+        assert rbm_mod.logsumexp(v) == pytest.approx(scipy_logsumexp(v), rel=1e-12)
+        assert rbm_mod.logsumexp(list(v[0])) == pytest.approx(
+            scipy_logsumexp(v[0]), rel=1e-12
+        )
 
 
 class TestExactLogLikelihood:
