@@ -227,11 +227,6 @@ def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
     out = _path(cfg, f"estimate_{class_name}.csv")
     fileio.write_estimate_csv(out, [row])
     print(f"wrote {out}")
-    if report.num_excluded:
-        print(
-            f"excluded {report.num_excluded} non-finite inner sup value(s)",
-            file=sys.stderr,
-        )
     return EXIT_OK
 
 
@@ -257,12 +252,12 @@ def _comparison(est, bound_name, bound_value, stderr) -> dict:
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
-    bound_rows = fileio.read_bounds_csv(_path(cfg, "bounds.csv"))
+    bound_rows = fileio.read_csv(_path(cfg, "bounds.csv"))
     estimates = []
     for class_name in CLASS_NAMES:
         path = _path(cfg, f"estimate_{class_name}.csv")
         if os.path.exists(path):
-            estimates.extend(fileio.read_estimate_csv(path))
+            estimates.extend(fileio.read_csv(path))
 
     rows = []
     for est in estimates:

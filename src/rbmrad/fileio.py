@@ -10,6 +10,7 @@ or none, never a truncated one.
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,6 +28,15 @@ COMPARISON_HEADER = (
     "class_name,estimate_mean,estimate_stderr,bound_name,bound_value,satisfied"
 )
 TRACE_HEADER = "epoch,mean_exact_loglik,learning_rate,seed"
+
+# Type of every numeric column across the CSV headers; any other is a string.
+_COLUMN_TYPES = {
+    **dict.fromkeys(("k", "m", "n", "d", "vc", "num_sigma", "restarts", "seed",
+                     "epoch"), int),
+    **dict.fromkeys(("B", "W", "ln_card_T", "value", "B_radius", "W_radius", "mean",
+                     "stderr", "estimate_mean", "estimate_stderr", "bound_value",
+                     "mean_exact_loglik", "learning_rate"), float),
+}
 
 
 def fmt_real(x) -> str:
@@ -155,7 +165,7 @@ def read_members(path) -> list:
         W = np.array(
             [[float(v) for v in lines[pos + 1 + i].split()] for i in range(k)]
         )
-        if W.shape != (k, m):
+        if W.shape != (k, m) or not np.isfinite(W).all():
             raise ValueError("malformed member weight block")
         members.append((W, u, j))
         pos += k + 1
@@ -170,8 +180,8 @@ def _write_csv(path, header: str, rows) -> None:
     _write_lines(path, lines)
 
 
-def _read_csv(path, floats=(), ints=()) -> list[dict]:
-    """Rows as dicts; empty fields are None, the named columns are converted."""
+def read_csv(path) -> list[dict]:
+    """Rows as dicts; empty fields are None, the rest typed by column name."""
     lines = _read_nonblank(path, "CSV")
     columns = lines[0].split(",")
     rows = []
@@ -179,29 +189,19 @@ def _read_csv(path, floats=(), ints=()) -> list[dict]:
         parts = ln.split(",")
         if len(parts) != len(columns):
             raise ValueError(f"malformed CSV line {ln!r}")
-        row = {col: (val if val != "" else None) for col, val in zip(columns, parts)}
-        for keys, kind in ((floats, float), (ints, int)):
-            for key in keys:
-                if row.get(key) is not None:
-                    row[key] = kind(row[key])
-        rows.append(row)
+        rows.append({
+            col: None if val == "" else _COLUMN_TYPES.get(col, str)(val)
+            for col, val in zip(columns, parts)
+        })
     return rows
 
 
 def bound_row(report: BoundReport) -> dict:
-    row = {"bound_name": report.bound_name, "value": report.value}
-    for key in ("B", "W", "k", "m", "n", "d", "ln_card_T", "vc"):
-        row[key] = report.inputs.get(key)
-    return row
+    return {**report.inputs, "bound_name": report.bound_name, "value": report.value}
 
 
 def write_bounds_csv(path, reports) -> None:
     _write_csv(path, BOUNDS_HEADER, [bound_row(r) for r in reports])
-
-
-def read_bounds_csv(path) -> list[dict]:
-    return _read_csv(path, floats=("B", "W", "ln_card_T", "value"),
-                     ints=("k", "m", "n", "d", "vc"))
 
 
 def estimate_row(
@@ -232,42 +232,13 @@ def write_estimate_csv(path, rows) -> None:
     _write_csv(path, ESTIMATE_HEADER, rows)
 
 
-def read_estimate_csv(path) -> list[dict]:
-    return _read_csv(path, ints=("n", "k", "m", "num_sigma", "restarts", "seed"),
-                     floats=("B_radius", "W_radius", "ln_card_T", "mean", "stderr"))
-
-
 def write_comparison_csv(path, rows) -> None:
     _write_csv(path, COMPARISON_HEADER, rows)
 
 
-def read_comparison_csv(path) -> list[dict]:
-    return _read_csv(
-        path, floats=("estimate_mean", "estimate_stderr", "bound_value")
-    )
-
-
 def write_trace_csv(path, traces) -> None:
-    rows = [
-        {
-            "epoch": t.epoch,
-            "mean_exact_loglik": t.mean_exact_loglik,
-            "learning_rate": t.learning_rate,
-            "seed": t.seed,
-        }
-        for t in traces
-    ]
-    _write_csv(path, TRACE_HEADER, rows)
+    _write_csv(path, TRACE_HEADER, [asdict(t) for t in traces])
 
 
 def read_trace_csv(path) -> list[TrainingTrace]:
-    rows = _read_csv(path)
-    return [
-        TrainingTrace(
-            epoch=int(row["epoch"]),
-            mean_exact_loglik=float(row["mean_exact_loglik"]),
-            learning_rate=float(row["learning_rate"]),
-            seed=int(row["seed"]),
-        )
-        for row in rows
-    ]
+    return [TrainingTrace(**row) for row in read_csv(path)]

@@ -33,8 +33,17 @@ import numpy as np
 
 from .rbm import BinaryDataset, sigmoid, softplus
 
-CLASS_NAMES = ("F", "G", "H", "LOGLIK_PART1", "T", "CD1_LOGZ", "FINITE_T")
-SUP_KINDS = ("analytic", "optimized", "finite-max")
+# How each class's inner sup is computed, in the order the CLI lists them.
+INNER_SUP_KIND = {
+    "F": "analytic",
+    "G": "analytic",
+    "H": "optimized",
+    "LOGLIK_PART1": "optimized",
+    "T": "optimized",
+    "CD1_LOGZ": "optimized",
+    "FINITE_T": "finite-max",
+}
+CLASS_NAMES = tuple(INNER_SUP_KIND)
 
 _STEP_SIZE = 0.1  # initial ascent step of every row
 _REL_TOL = 1e-9  # a row retires once an accepted move gains relatively less
@@ -92,28 +101,48 @@ class RademacherBatch:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Monte-Carlo estimate of one class's empirical Rademacher complexity."""
+    """Monte-Carlo estimate of one class's empirical Rademacher complexity.
+
+    It holds what the estimator measured, every sigma vector's inner sup;
+    the mean, its standard error, the count and the inner-sup kind are
+    derived from those values.  optimizer_restarts is 0 for the classes
+    without an ascent.
+    """
 
     class_name: str
-    mean: float
-    stderr: float
-    num_sigma: int
-    optimizer_restarts: int
-    optimizer_iterations: int
-    inner_sup_kind: str
+    per_sigma_values: tuple
     seed: int
-    num_excluded: int = 0
-    per_sigma_values: tuple = ()  # every sigma vector's inner sup, finite or not
+    optimizer_restarts: int = 0
 
     def __post_init__(self):
-        if self.class_name not in CLASS_NAMES:
+        if self.class_name not in INNER_SUP_KIND:
             raise ValueError(f"unknown class name {self.class_name!r}")
-        if self.inner_sup_kind not in SUP_KINDS:
-            raise ValueError(f"unknown inner_sup_kind {self.inner_sup_kind!r}")
-        if self.inner_sup_kind == "analytic" and self.class_name not in ("F", "G"):
-            raise ValueError("analytic inner sup is reserved for classes F and G")
-        if self.inner_sup_kind == "finite-max" and self.class_name != "FINITE_T":
-            raise ValueError("finite-max inner sup is reserved for FINITE_T")
+        values = tuple(map(float, self.per_sigma_values))
+        if not values:
+            raise ValueError("an estimate needs at least one sigma vector")
+        bad = sum(not math.isfinite(v) for v in values)
+        if bad:
+            raise ValueError(f"{bad} of {len(values)} inner sup values are non-finite")
+        object.__setattr__(self, "per_sigma_values", values)
+
+    @property
+    def num_sigma(self) -> int:
+        return len(self.per_sigma_values)
+
+    @property
+    def inner_sup_kind(self) -> str:
+        return INNER_SUP_KIND[self.class_name]
+
+    @property
+    def mean(self) -> float:
+        return float(np.array(self.per_sigma_values).mean())
+
+    @property
+    def stderr(self) -> float:
+        if self.num_sigma < 2:
+            return float("nan")
+        values = np.array(self.per_sigma_values)
+        return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 def sample_sigma_batch(n: int, count: int, seed: int) -> RademacherBatch:
@@ -218,37 +247,6 @@ def _pga(objective, project_fn, Z0: np.ndarray, iterations: int):
     return f
 
 
-def _finalize(
-    class_name: str,
-    values: np.ndarray,
-    batch: RademacherBatch,
-    kind: str,
-    opt: OptimizerSettings | None = None,
-) -> EstimateReport:
-    values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values)
-    used = values[finite]
-    if used.size == 0:
-        raise ValueError("every per-sigma inner sup came back non-finite")
-    stderr = (
-        float(used.std(ddof=1) / math.sqrt(used.size))
-        if used.size > 1
-        else float("nan")
-    )
-    return EstimateReport(
-        class_name=class_name,
-        mean=float(used.mean()),
-        stderr=stderr,
-        num_sigma=int(used.size),
-        optimizer_restarts=opt.restarts if opt else 0,
-        optimizer_iterations=opt.iterations if opt else 0,
-        inner_sup_kind=kind,
-        seed=batch.seed,
-        num_excluded=int(values.size - used.size),
-        per_sigma_values=tuple(float(v) for v in values),
-    )
-
-
 def _check_batch(data: BinaryDataset, batch: RademacherBatch) -> None:
     if batch.sigma_vectors.shape[1] != data.n:
         raise ValueError("sigma vectors must have length n")
@@ -266,7 +264,7 @@ def _estimate_linear(
 ) -> EstimateReport:
     _check_batch(data, batch)
     values = _linear_values(data, batch, radius)
-    return _finalize(class_name, values, batch, "analytic")
+    return EstimateReport(class_name, values, batch.seed)
 
 
 def estimate_R_F(
@@ -370,7 +368,7 @@ def _part1_family(
         lambda Z, sig, slot: _part1_rows(Z, X, sig),
     )
     values = m * (_linear_values(data, batch, spec.B_radius) + best_w)
-    return _finalize(class_name, values, batch, "optimized", opt)
+    return EstimateReport(class_name, values, batch.seed, opt.restarts)
 
 
 def estimate_R_H(
@@ -467,7 +465,7 @@ def estimate_R_T(
         data, spec, batch, opt, m, pair.size,
         lambda Z, sig, slot: _t_rows(Z, X, sig, m, U[slot], J[slot]),
     )
-    return _finalize("T", values, batch, "optimized", opt)
+    return EstimateReport("T", values, batch.seed, opt.restarts)
 
 
 def estimate_R_cd1_logZ(
@@ -483,7 +481,7 @@ def estimate_R_cd1_logZ(
         data, spec, batch, opt, m, opt.restarts,
         lambda Z, sig, slot: _cd1_logz_rows(Z, X, sig, m),
     )
-    return _finalize("CD1_LOGZ", values, batch, "optimized", opt)
+    return EstimateReport("CD1_LOGZ", values, batch.seed, opt.restarts)
 
 
 def estimate_R_finite_T(
@@ -499,7 +497,7 @@ def estimate_R_finite_T(
             raise ValueError(f"a member W has k={len(W)} rows, data has k={data.k}")
     table = np.stack([t_value(W, u, j, data.samples) for W, u, j in members])
     values = (batch.sigma_vectors @ table.T).max(axis=1) / data.n
-    return _finalize("FINITE_T", values, batch, "finite-max")
+    return EstimateReport("FINITE_T", values, batch.seed)
 
 
 def generate_members(
@@ -508,13 +506,13 @@ def generate_members(
     """Random T members: uniform W with columns projected into the l1 ball."""
     if count < 1:
         raise ValueError("count must be positive")
+    if not radius >= 0.0:
+        raise ValueError("radius must be nonnegative")
     rng = np.random.default_rng(seed)
     members = []
     for _ in range(count):
-        W = rng.uniform(-1.0, 1.0, size=(k, m))
-        for j in range(m):
-            W[:, j] = project_l1(W[:, j], radius)
-        members.append((W, int(rng.integers(k)), int(rng.integers(m))))
+        W = _project_columns(rng.uniform(-1.0, 1.0, size=(1, k * m)), k, m, radius)
+        members.append((W.reshape(k, m), int(rng.integers(k)), int(rng.integers(m))))
     return members
 
 

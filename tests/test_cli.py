@@ -94,7 +94,7 @@ class TestBounds:
     def test_rows_match_direct_calls(self, tmp_path):
         out = tmp_path / "out"
         assert run("bounds", "--out", str(out)) == 0
-        rows = fileio.read_bounds_csv(out / "bounds.csv")
+        rows = fileio.read_csv(out / "bounds.csv")
         names = [row["bound_name"] for row in rows]
         assert names.count("LEMMA1") == 1
         assert names.count("COROLLARY1") == 4
@@ -113,7 +113,7 @@ class TestBounds:
         assert run("bounds", "--out", str(out)) == 0
         row = next(
             r
-            for r in fileio.read_bounds_csv(out / "bounds.csv")
+            for r in fileio.read_csv(out / "bounds.csv")
             if r["bound_name"] == "LEMMA4_FINITE"
         )
         t_max = max(np.abs(W).sum(axis=0).max() for W, _, _ in members)
@@ -125,7 +125,7 @@ class TestBounds:
     def test_lemma4_skipped_without_members(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("bounds", "--out", str(out)) == 0
-        names = [r["bound_name"] for r in fileio.read_bounds_csv(out / "bounds.csv")]
+        names = [r["bound_name"] for r in fileio.read_csv(out / "bounds.csv")]
         assert "LEMMA4_FINITE" not in names and "LEMMA1" in names
         assert "skipping LEMMA4_FINITE: no members file" in capsys.readouterr().err
 
@@ -143,6 +143,16 @@ class TestBounds:
         (out / "members.txt").write_text("k=6 m=3 count=0\n")
         assert run("bounds", "--out", str(out)) == 2
         assert "count=0; it needs a member" in capsys.readouterr().err
+
+    def test_nan_in_later_member_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        members = rr.generate_members(6, 3, 4, 1.0, 21)
+        members[3][0][2, 1] = np.nan
+        fileio.write_members(out / "members.txt", members)
+        assert run("bounds", "--out", str(out)) == 2
+        assert not (out / "bounds.csv").exists()
+        assert "malformed member weight block" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line", ["B_radius = nan", "W_radius = inf", "learning_rate = nan"]
@@ -165,7 +175,7 @@ class TestEstimate:
         out = tmp_path / "out"
         assert run("gen-data", "--config", str(cfg), "--out", str(out)) == 0
         assert run("estimate", "F", "--config", str(cfg), "--out", str(out)) == 0
-        row = fileio.read_estimate_csv(out / "estimate_F.csv")[0]
+        row = fileio.read_csv(out / "estimate_F.csv")[0]
         assert row["mean"] == 0.0 and row["m"] is None
         assert row["inner_sup_kind"] == "analytic"
 
@@ -185,7 +195,7 @@ class TestEstimate:
         assert run(
             "estimate", "FINITE_T", "--config", fast_cfg_path, "--out", str(out)
         ) == 0
-        row = fileio.read_estimate_csv(out / "estimate_FINITE_T.csv")[0]
+        row = fileio.read_csv(out / "estimate_FINITE_T.csv")[0]
         assert row["inner_sup_kind"] == "finite-max"
         assert row["m"] is None and row["B_radius"] is None
 
@@ -208,6 +218,19 @@ class TestEstimate:
         assert run("estimate", "FINITE_T", "--out", str(out)) == 2
         assert not (out / "estimate_FINITE_T.csv").exists()
         assert "members are built for k=4, config has k=6" in capsys.readouterr().err
+
+    def test_finite_T_overflowing_sup_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST_CFG.replace("num_sigma = 12", "num_sigma = 30"))
+        out = tmp_path / "out"
+        run("gen-data", "--config", str(cfg), "--out", str(out))
+        members = rr.generate_members(4, 2, 6, 1.0, 21)
+        W, u, j = members[0]
+        W[u, j] = 1.5e308
+        fileio.write_members(out / "members.txt", members)
+        assert run("estimate", "FINITE_T", "--config", str(cfg), "--out", str(out)) == 2
+        assert not (out / "estimate_FINITE_T.csv").exists()
+        assert "of 30 inner sup values are non-finite" in capsys.readouterr().err
 
     def test_unknown_class_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -240,7 +263,7 @@ class TestCompare:
                 "estimate", cls, "--config", fast_cfg_path, "--out", str(out)
             ) == 0
         assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
-        rows = fileio.read_comparison_csv(out / "comparison.csv")
+        rows = fileio.read_csv(out / "comparison.csv")
         by_bound = {row["bound_name"] for row in rows}
         assert {"LEMMA1", "REMARK2", "LEMMA1+REMARK2", "THEOREM1",
                 "COROLLARY1", "LEMMA4_FINITE", "PART1_PLUS_CD1_LOGZ"} <= by_bound
@@ -255,8 +278,8 @@ class TestCompare:
         assert "T: no closed-form comparator" in capsys.readouterr().err
         assert all(row["satisfied"] == "true" for row in rows)
         pair = next(r for r in rows if r["bound_name"] == "PART1_PLUS_CD1_LOGZ")
-        part1 = fileio.read_estimate_csv(out / "estimate_LOGLIK_PART1.csv")[0]
-        cd1 = fileio.read_estimate_csv(out / "estimate_CD1_LOGZ.csv")[0]
+        part1 = fileio.read_csv(out / "estimate_LOGLIK_PART1.csv")[0]
+        cd1 = fileio.read_csv(out / "estimate_CD1_LOGZ.csv")[0]
         assert pair["bound_value"] == pytest.approx(
             part1["mean"] + cd1["mean"], abs=1e-15
         )
@@ -274,7 +297,7 @@ class TestCompare:
         for cls in ("F", "FINITE_T"):
             run("estimate", cls, "--config", fast_cfg_path, "--out", str(out))
         assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
-        rows = fileio.read_comparison_csv(out / "comparison.csv")
+        rows = fileio.read_csv(out / "comparison.csv")
         assert [r["class_name"] for r in rows] == ["F"]
         err = capsys.readouterr().err
         assert "FINITE_T: no LEMMA4_FINITE bound row with matching inputs" in err
@@ -290,7 +313,7 @@ class TestCompare:
         # The estimate row records the inputs, so compare needs no members.
         os.remove(out / "members.txt")
         assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
-        rows = fileio.read_comparison_csv(out / "comparison.csv")
+        rows = fileio.read_csv(out / "comparison.csv")
         assert [r["class_name"] for r in rows] == ["F", "FINITE_T"]
         t_max = max(np.abs(W).sum(axis=0).max() for W, _, _ in members)
         assert rows[1]["bound_name"] == "LEMMA4_FINITE"
@@ -309,7 +332,7 @@ class TestCompare:
         fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 4, 1.0, 3))
         run("bounds", "--config", fast_cfg_path, "--out", str(out))
         assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
-        rows = fileio.read_comparison_csv(out / "comparison.csv")
+        rows = fileio.read_csv(out / "comparison.csv")
         assert not any(r["class_name"] == "FINITE_T" for r in rows)
         err = capsys.readouterr().err
         assert "FINITE_T: no LEMMA4_FINITE bound row with matching inputs" in err
@@ -323,7 +346,7 @@ class TestCompare:
         run("estimate", "LOGLIK_PART1", "--config", str(m4), "--out", str(out))
         run("estimate", "CD1_LOGZ", "--config", fast_cfg_path, "--out", str(out))
         assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
-        rows = fileio.read_comparison_csv(out / "comparison.csv")
+        rows = fileio.read_csv(out / "comparison.csv")
         assert not any(r["bound_name"] == "PART1_PLUS_CD1_LOGZ" for r in rows)
         err = capsys.readouterr().err
         assert "LOGLIK_PART1: no THEOREM1 bound row with matching inputs" in err

@@ -1,6 +1,7 @@
 """File formats and configuration parsing."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ class TestMembersFile:
         with pytest.raises(ValueError, match="members file"):
             fileio.read_members(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, bad):
+        path = tmp_path / "m.txt"
+        fileio.write_members(path, rr.generate_members(3, 2, 2, 1.0, 13))
+        lines = path.read_text().splitlines()
+        lines[-1] = f"0.25 {bad}"  # last row of the second member's W
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="malformed member weight block"):
+            fileio.read_members(path)
+
     def test_truncated_rejected(self, tmp_path):
         members = rr.generate_members(3, 2, 2, 1.0, 13)
         path = tmp_path / "m.txt"
@@ -139,7 +150,7 @@ class TestCsvFiles:
         fileio.write_bounds_csv(path, reports)
         text = path.read_text()
         assert text.splitlines()[0] == fileio.BOUNDS_HEADER
-        rows = fileio.read_bounds_csv(path)
+        rows = fileio.read_csv(path)
         assert rows[0]["bound_name"] == "LEMMA1"
         assert rows[0]["value"] == reports[0].value
         assert rows[0]["vc"] is None
@@ -152,7 +163,7 @@ class TestCsvFiles:
         row = fileio.estimate_row(report, 10, 3, None, 1.0, 1.0)
         path = tmp_path / "est.csv"
         fileio.write_estimate_csv(path, [row])
-        back = fileio.read_estimate_csv(path)[0]
+        back = fileio.read_csv(path)[0]
         assert back["class_name"] == "F"
         assert back["mean"] == report.mean
         assert back["stderr"] == report.stderr
@@ -171,7 +182,7 @@ class TestCsvFiles:
         path = tmp_path / "cmp.csv"
         fileio.write_comparison_csv(path, rows)
         assert "true" in path.read_text()
-        back = fileio.read_comparison_csv(path)[0]
+        back = fileio.read_csv(path)[0]
         assert back["satisfied"] == "true"
         assert back["bound_value"] == 0.5
 
@@ -190,6 +201,18 @@ class TestCsvFiles:
         path.write_text(fileio.TRACE_HEADER + "\n1,2\n")
         with pytest.raises(ValueError):
             fileio.read_trace_csv(path)
+
+
+    def test_readme_headers_match(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("The CSV headers are:\n\n```\n", 1)[1].split("```")[0]
+        documented = dict(line.split() for line in block.splitlines())
+        assert documented == {
+            "bounds.csv": fileio.BOUNDS_HEADER,
+            "estimate_*.csv": fileio.ESTIMATE_HEADER,
+            "comparison.csv": fileio.COMPARISON_HEADER,
+            "trace.csv": fileio.TRACE_HEADER,
+        }
 
 
 class TestConfig:

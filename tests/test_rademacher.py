@@ -446,31 +446,28 @@ class TestQuantizedBehaviors:
 
 
 class TestReportValidation:
-    def test_analytic_reserved(self):
-        with pytest.raises(ValueError):
-            rr.EstimateReport(
-                class_name="H",
-                mean=0.0,
-                stderr=0.0,
-                num_sigma=1,
-                optimizer_restarts=0,
-                optimizer_iterations=0,
-                inner_sup_kind="analytic",
-                seed=0,
-            )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="1 of 3 inner sup values"):
+            rr.EstimateReport("T", (0.5, bad, 0.25), seed=0)
 
-    def test_finite_max_reserved(self):
-        with pytest.raises(ValueError):
-            rr.EstimateReport(
-                class_name="T",
-                mean=0.0,
-                stderr=0.0,
-                num_sigma=1,
-                optimizer_restarts=0,
-                optimizer_iterations=0,
-                inner_sup_kind="finite-max",
-                seed=0,
-            )
+    def test_empty_values_rejected(self):
+        with pytest.raises(ValueError, match="at least one sigma vector"):
+            rr.EstimateReport("F", (), seed=0)
+
+    def test_statistics_and_kind_derived(self):
+        report = rr.EstimateReport("FINITE_T", np.array([0.5, 0.25, 1.0]), seed=4)
+        assert report.per_sigma_values == (0.5, 0.25, 1.0)
+        assert (report.num_sigma, report.inner_sup_kind) == (3, "finite-max")
+        assert report.mean == np.mean([0.5, 0.25, 1.0])
+        assert report.optimizer_restarts == 0
+        assert math.isnan(rr.EstimateReport("F", (0.5,), seed=0).stderr)
+
+    def test_class_order_kept(self):
+        # argparse's choices and the rows of comparison.csv follow this order.
+        assert rademacher.CLASS_NAMES == (
+            "F", "G", "H", "LOGLIK_PART1", "T", "CD1_LOGZ", "FINITE_T"
+        )
 
     def test_stderr_definition(self, rng):
         data = bernoulli_data(rng, 10, 4)
