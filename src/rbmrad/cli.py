@@ -241,13 +241,15 @@ def _match(bound_rows, name, est):
 
 
 def _comparison(est, bound_name, bound_value, stderr) -> dict:
+    # One sigma vector leaves the stderr nan: the mean then gets no margin.
+    margin = 3.0 * stderr if math.isfinite(stderr) else 0.0
     return {
         "class_name": est["class_name"],
         "estimate_mean": est["mean"],
         "estimate_stderr": stderr,
         "bound_name": bound_name,
         "bound_value": bound_value,
-        "satisfied": est["mean"] <= bound_value + 3.0 * stderr,
+        "satisfied": est["mean"] <= bound_value + margin,
     }
 
 

@@ -162,7 +162,7 @@ def sup_linear_l1(v, radius: float) -> float:
     The supremum sits at a signed vertex radius * sign(v_j) e_j, so the
     coefficient enters through its absolute value.
     """
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ValueError("radius must be nonnegative")
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size == 0:
@@ -174,19 +174,16 @@ def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
     """Row-wise Euclidean projection onto the l1 ball of given radius."""
     if radius == 0.0:
         return np.zeros_like(V)
-    out = V.copy()
-    over = np.abs(V).sum(axis=1) > radius
-    if not over.any():
-        return out
-    A = np.abs(V[over])
+    A = np.abs(V)
     U = np.sort(A, axis=1)[:, ::-1]
     css = np.cumsum(U, axis=1)
     ranks = np.arange(1, V.shape[1] + 1)
     # rho = largest rank with sorted magnitude above the running threshold
     rho = np.count_nonzero(U * ranks > css - radius, axis=1)
     theta = (css[np.arange(len(rho)), rho - 1] - radius) / rho
-    out[over] = np.sign(V[over]) * np.maximum(A - theta[:, None], 0.0)
-    return out
+    # rows already inside the ball shrink by nothing: sign(v) |v| is v
+    theta[A.sum(axis=1) <= radius] = 0.0
+    return np.sign(V) * np.maximum(A - theta[:, None], 0.0)
 
 
 def _project_columns(Z: np.ndarray, k: int, m: int, radius: float) -> np.ndarray:
@@ -204,7 +201,7 @@ def project_l1(v, radius: float) -> np.ndarray:
     by it, the rest clamp to zero.  Points already inside come back
     unchanged.
     """
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ValueError("radius must be nonnegative")
     v = np.asarray(v, dtype=float).reshape(-1)
     return _project_l1_rows(v[None, :], radius)[0]
@@ -403,45 +400,47 @@ def t_value(W, u: int, j: int, X) -> np.ndarray:
 
 def _t_rows(Z, X, sig_rows, m: int, u, j):
     # Row r holds a flattened k x m matrix W and its pair (u[r], j[r]);
-    # objective sig' t_W(X) / n with t = W_uj sigmoid(s W[u]), s = sigmoid(X W),
-    # and its gradient by backpropagation.
+    # objective sig' t_W(X) / n with t = W_uj sigmoid(W[u] s), s = sigmoid(W' X'),
+    # and its gradient by backpropagation.  Each row's tensors are laid out
+    # (units, n), so every product and reduction over the sample runs on the
+    # last axis.
     n, k = X.shape
     W_cube = Z.reshape(Z.shape[0], k, m)
     rows = np.arange(Z.shape[0])
     g = sig_rows / n
     W_u = W_cube[rows, u, :]
     W_uj = W_cube[rows, u, j][:, None]
-    s = sigmoid(X @ W_cube)
-    mid = sigmoid(np.einsum("rnm,rm->rn", s, W_u))
+    s = sigmoid(W_cube.transpose(0, 2, 1) @ X.T)
+    mid = sigmoid((W_u[:, None, :] @ s)[:, 0])
     value = np.einsum("rn,rn->r", W_uj * mid, sig_rows) / n
     G_pre = g * W_uj * mid * (1.0 - mid)
-    # In place: fewer (rows, n, m) temporaries for the heap to free and refault.
-    D = G_pre[:, :, None] * W_u[:, None, :] * s
+    # In place: fewer (rows, m, n) temporaries for the heap to free and refault.
+    D = G_pre[:, None, :] * W_u[:, :, None] * s
     D *= 1.0 - s
-    grad = X.T @ D
-    grad[rows, u, :] += np.einsum("rnm,rn->rm", s, G_pre)
+    grad = (D @ X).transpose(0, 2, 1)
+    grad[rows, u, :] += (s @ G_pre[:, :, None])[:, :, 0]
     grad[rows, u, j] += np.einsum("rn,rn->r", g, mid)
     return value, grad.reshape(Z.shape)
 
 
 def _cd1_logz_rows(Z, X, sig_rows, m: int):
     # Row r holds a flattened k x m matrix W; objective
-    # sig' sum_j softplus(x_tilde W_j) / n with x_tilde = sigmoid(sigmoid(X W) W'),
+    # sig' sum_j softplus(W_j' x_tilde) / n with x_tilde = sigmoid(W sigmoid(W' X')),
     # and its gradient by backpropagation through the three uses of W:
-    # a = X W, b = s W', c = x_tilde W.  G_* is the gradient of the objective
-    # by each preactivation.
+    # a = W' X', b = W s, c = W' x_tilde, each laid out (units, n).  G_* is
+    # the gradient of the objective by each preactivation.
     n, k = X.shape
     W_cube = Z.reshape(Z.shape[0], k, m)
     W_t = W_cube.transpose(0, 2, 1)
-    s = sigmoid(X @ W_cube)
-    x_tilde = sigmoid(s @ W_t)
-    c = x_tilde @ W_cube
-    value = np.einsum("rn,rn->r", softplus(c).sum(axis=2), sig_rows) / n
-    G_c = (sig_rows / n)[:, :, None] * sigmoid(c)
-    G_b = (G_c @ W_t) * x_tilde * (1.0 - x_tilde)
-    G_a = (G_b @ W_cube) * s * (1.0 - s)
-    grad = x_tilde.transpose(0, 2, 1) @ G_c + G_b.transpose(0, 2, 1) @ s + X.T @ G_a
-    return value, grad.reshape(Z.shape)
+    s = sigmoid(W_t @ X.T)
+    x_tilde = sigmoid(W_cube @ s)
+    c = W_t @ x_tilde
+    value = np.einsum("rn,rn->r", softplus(c).sum(axis=1), sig_rows) / n
+    G_c = (sig_rows / n)[:, None, :] * sigmoid(c)
+    G_b = (W_cube @ G_c) * x_tilde * (1.0 - x_tilde)
+    G_a = (W_t @ G_b) * s * (1.0 - s)
+    grad = G_c @ x_tilde.transpose(0, 2, 1) + s @ G_b.transpose(0, 2, 1) + G_a @ X
+    return value, grad.transpose(0, 2, 1).reshape(Z.shape)
 
 
 def estimate_R_T(
@@ -520,7 +519,7 @@ def count_quantized_behaviors(
     data: BinaryDataset, grid, u: int, j: int, epsilon: float
 ) -> int:
     """Distinct epsilon-rounded value vectors of t_W over the sample."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     grid = list(grid)
     if not grid:

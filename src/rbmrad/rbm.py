@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 MAX_VISIBLE_ENUM = 20
 MAX_HIDDEN_ENUM = 20
@@ -47,8 +46,14 @@ def logsumexp(v) -> float:
 
 
 def sigmoid(g):
-    """Logistic function 1 / (1 + e^-g)."""
-    return expit(g)
+    """Logistic function 1 / (1 + e^-g) from numpy's vectorized exp.
+
+    Below g = -709 e^-g overflows, unwarned, and the result is 0 as from
+    scipy's expit.  One implementation at every array size keeps each
+    element's value independent of the batch it is computed in.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-g))
 
 
 def _as_float_matrix(arr, name: str) -> np.ndarray:

@@ -133,7 +133,12 @@ def suite_lipschitz(seed: int = 0) -> SuiteResult:
 
 
 def suite_projection(seed: int = 0) -> SuiteResult:
-    """project_l1 feasibility, idempotence, and distance dominance."""
+    """project_l1 feasibility, idempotence, and distance dominance.
+
+    Also runs the ascent's own path, _project_columns on a block of
+    flattened k x m rows: each row must be feasible and equal, bit for bit,
+    to projecting its m columns one at a time with project_l1.
+    """
     rng = np.random.default_rng([seed, 4])
     checks = failures = 0
     for _ in range(200):
@@ -152,6 +157,16 @@ def suite_projection(seed: int = 0) -> SuiteResult:
         failures += (
             np.linalg.norm(v - p) > np.linalg.norm(v - q) + 1e-12
         )
+    for _ in range(50):
+        k, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        radius = float(rng.uniform(0.0, 2.0))
+        Z = rng.uniform(-3.0, 3.0, size=(5, k * m))
+        block = rademacher._project_columns(Z, k, m, radius).reshape(5, k, m)
+        for z, p in zip(Z.reshape(5, k, m), block):
+            alone = [rademacher.project_l1(col, radius) for col in z.T]
+            checks += 2
+            failures += np.abs(p).sum(axis=0).max() > radius + 1e-12
+            failures += not np.array_equal(p.T, alone)
     return SuiteResult("projection", checks, failures)
 
 

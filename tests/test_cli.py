@@ -284,6 +284,23 @@ class TestCompare:
             part1["mean"] + cd1["mean"], abs=1e-15
         )
 
+    def test_one_sigma_vector_compared_without_margin(self, tmp_path):
+        # stderr is nan for one sigma vector; the mean alone meets the bound.
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(FAST_CFG.replace("num_sigma = 12", "num_sigma = 1"))
+        out = tmp_path / "out"
+        run("gen-data", "--config", str(cfg), "--out", str(out))
+        run("bounds", "--config", str(cfg), "--out", str(out))
+        for cls in ("F", "LOGLIK_PART1", "CD1_LOGZ"):
+            assert run("estimate", cls, "--config", str(cfg), "--out", str(out)) == 0
+        assert run("compare", "--config", str(cfg), "--out", str(out)) == 0
+        rows = fileio.read_csv(out / "comparison.csv")
+        assert rows[0]["class_name"] == "F" and rows[0]["satisfied"] == "true"
+        assert rows[-1]["bound_name"] == "PART1_PLUS_CD1_LOGZ"
+        for row in rows:
+            assert np.isnan(row["estimate_stderr"])
+            met = row["estimate_mean"] <= row["bound_value"]
+            assert row["satisfied"] == ("true" if met else "false")
 
     def test_finite_t_held_to_its_own_members(self, tmp_path, fast_cfg_path, capsys):
         out = tmp_path / "out"
@@ -387,7 +404,7 @@ class TestVerify:
             "factorization": "200",
             "partition": "25",
             "lipschitz": "100000",
-            "projection": "600",
+            "projection": "1100",
             "gradient": "161",
             "holder": "400",
             "meanfield": "201",
@@ -456,6 +473,17 @@ class TestVerify:
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
         assert "failed suites: meanfield" in captured
+
+    def test_projection_of_wrong_columns_caught(self, monkeypatch, capsys):
+        # Projects each run of k consecutive entries, which for m > 1 mixes
+        # the columns of the row-major k x m matrix.
+        def rows_not_columns(Z, k, m, radius):
+            return rad_mod._project_l1_rows(Z.reshape(-1, k), radius).reshape(Z.shape)
+
+        monkeypatch.setattr(rad_mod, "_project_columns", rows_not_columns)
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: projection" in captured
 
     def test_broken_t_gradient_caught(self, monkeypatch, capsys):
         exact = rad_mod._t_rows

@@ -60,12 +60,19 @@ class TestSupLinearL1:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             rr.sup_linear_l1([1.0], -1.0)
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            rr.sup_linear_l1([1.0], math.nan)
 
 
 class TestProjectL1:
     def test_interior_unchanged(self):
         v = np.array([0.25, -0.25])
         assert np.array_equal(rr.project_l1(v, 1.0), v)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan])
+    def test_invalid_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            rr.project_l1([0.25, -0.25], radius)
 
     def test_axis_case(self):
         assert np.allclose(rr.project_l1([3.0, 0.0], 1.0), [1.0, 0.0], atol=1e-15)
@@ -346,6 +353,57 @@ class TestAscentObjectives:
             assert abs(row[0] - expected) <= 1e-12
 
 
+class TestBatchIndependence:
+    """A sigma vector's value, and a row's output, do not depend on its batch."""
+
+    ESTIMATES = {
+        "H": lambda data, spec, batch: rr.estimate_R_H(data, spec, batch, SMALL_OPT),
+        "LOGLIK_PART1": lambda data, spec, batch: rr.estimate_R_loglik_part1(
+            data, spec, 3, batch, SMALL_OPT
+        ),
+        "T": lambda data, spec, batch: rr.estimate_R_T(data, spec, 2, batch, SMALL_OPT),
+        "CD1_LOGZ": lambda data, spec, batch: rr.estimate_R_cd1_logZ(
+            data, spec, 2, batch, SMALL_OPT
+        ),
+    }
+
+    @pytest.mark.parametrize("class_name", ESTIMATES)
+    def test_first_value_same_alone(self, rng, class_name):
+        estimate = self.ESTIMATES[class_name]
+        data = bernoulli_data(rng, 13, 4)
+        spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
+        batch = rr.sample_sigma_batch(13, 5, 9)
+        alone = rr.RademacherBatch(batch.sigma_vectors[:1], batch.seed)
+        first = estimate(data, spec, batch).per_sigma_values[0]
+        assert estimate(data, spec, alone).per_sigma_values == (first,)
+
+    def test_row_functions_blockwise_equal_rowwise(self, rng):
+        k, m, n, rows = 6, 3, 50, 40
+        X = rng.integers(0, 2, size=(n, k)).astype(float)
+        Z = rng.uniform(-1.0, 1.0, size=(rows, k * m))
+        sig = rng.choice([-1.0, 1.0], size=(rows, n))
+        pair = rng.integers(k * m, size=rows)
+        u, j = pair // m, pair % m
+        cases = [
+            lambda r: rademacher._t_rows(Z[r], X, sig[r], m, u[r], j[r]),
+            lambda r: rademacher._cd1_logz_rows(Z[r], X, sig[r], m),
+        ]
+        for rows_fn in cases:
+            value, grad = rows_fn(slice(None))
+            for r in range(rows):
+                one_value, one_grad = rows_fn(slice(r, r + 1))
+                assert one_value[0] == value[r]
+                assert np.array_equal(one_grad[0], grad[r])
+
+    def test_projection_blockwise_equal_rowwise(self, rng):
+        # Scales from 0.1 to 3 put rows both inside and outside the ball.
+        V = rng.uniform(-1.0, 1.0, size=(40, 6)) * rng.uniform(0.1, 3.0, (40, 1))
+        P = rademacher._project_l1_rows(V, 1.0)
+        assert 0 < np.count_nonzero(np.abs(V).sum(axis=1) > 1.0) < 40
+        for r in range(40):
+            assert np.array_equal(rademacher._project_l1_rows(V[r:r + 1], 1.0)[0], P[r])
+
+
 class TestAscentDriver:
     """_pga steps along the gradient stored with each row's current point."""
 
@@ -443,6 +501,8 @@ class TestQuantizedBehaviors:
             rr.count_quantized_behaviors(data, [np.zeros((2, 2))], 0, 0, 0.0)
         with pytest.raises(ValueError):
             rr.count_quantized_behaviors(data, [], 0, 0, 0.05)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            rr.count_quantized_behaviors(data, [np.zeros((2, 2))], 0, 0, math.nan)
 
 
 class TestReportValidation:

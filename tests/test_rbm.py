@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 from scipy.special import logsumexp as scipy_logsumexp
 
 import rbmrad as rr
@@ -306,6 +307,22 @@ class TestConventions:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rr.softplus(g)
+
+    def test_sigmoid_matches_expit(self):
+        g = np.linspace(-800.0, 800.0, 1_600_001)
+        ref = expit(g)
+        got = rr.sigmoid(g)
+        assert np.abs(got - ref).max() <= 4.5e-16
+        tail = ref > 1e-300
+        assert (np.abs(got - ref)[tail] / ref[tail]).max() <= 1e-15
+
+    def test_sigmoid_stable_at_extremes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(rr.sigmoid(np.array([-1000.0, 1000.0])), [0.0, 1.0])
+            assert (rr.sigmoid(-1000.0), rr.sigmoid(1000.0)) == (0.0, 1.0)
+        assert isinstance(rr.sigmoid(0.5), np.float64)
+        assert rr.sigmoid(0.0) == 0.5
 
     def test_dataset_log_likelihoods_matches_scalar(self, rng):
         p = random_params(rng, 4, 2)
