@@ -122,6 +122,8 @@ def read_params(path) -> RbmParams:
     if len(lines) != k + 3:
         raise ValueError(f"expected {k} weight rows plus b and c lines")
     W = np.array([[float(v) for v in lines[1 + i].split()] for i in range(k)])
+    if W.shape != (k, m):
+        raise ValueError(f"malformed weight block: expected {k} rows of {m} weights")
     b = np.array([float(v) for v in lines[k + 1].split()])
     c = np.array([float(v) for v in lines[k + 2].split()])
     return RbmParams(W=W, b=b, c=c)

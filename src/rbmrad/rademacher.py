@@ -7,9 +7,9 @@ supremum (an l1/l-infinity duality); the nonlinear classes use multi-restart
 projected gradient ascent, which only ever reports values of feasible
 points, so every estimate is a certified lower bound of the true supremum.
 That is the safe direction when estimates are compared against upper
-bounds.  One driver, _ascend, owns the feasible set of every optimized
-class (k x cols matrices with each column in the l1 ball of radius W): it
-draws the starts, projects, and floors each sigma vector's value at the
+bounds.  One loop, _ascend, owns the feasible set of every optimized class
+(k x cols matrices with each column in the l1 ball of radius W): it draws
+the starts, steps, projects, and floors each sigma vector's value at the
 class's own objective at the zero matrix.  An estimator passes only its
 row function.  The part-1 family (H, LOGLIK_PART1) bounds b and each w_j
 by separate balls, so its bias term takes the closed-form sup of F and
@@ -17,11 +17,11 @@ its m hidden units share one ascent over w (cols = 1); T and CD1_LOGZ
 ascend over the whole W (cols = m).  All four follow analytic gradients,
 and one forward pass gives each row's value and gradient.
 
-Per-sigma work is independent: sigma index i always draws its optimizer
-randomness from the stream (master seed, i), so results do not depend on
-scheduling.  Internally all restarts and sigma vectors are stacked into one
-row-per-problem batch; every optimizer operation is row-wise, which keeps
-each row's trajectory identical to a serial run.
+Sigma index i draws its optimizer randomness from the stream (master seed,
+i), and all restarts and sigma vectors share one row-per-problem batch.  The
+projection and the T and CD1_LOGZ row functions give a row the same bits in
+any block.  _part1_rows does not: BLAS rounds its 2-D products differently
+for blocks of 1 to 3 rows, so H and LOGLIK_PART1 can move in the last bits.
 """
 
 from __future__ import annotations
@@ -207,43 +207,6 @@ def project_l1(v, radius: float) -> np.ndarray:
     return _project_l1_rows(v[None, :], radius)[0]
 
 
-def _pga(objective, project_fn, Z0: np.ndarray, iterations: int):
-    """Row-batched ascent: each row is an independent restart of a problem.
-
-    objective(Z, idx) gets a row block plus the original row indices, to look
-    up per-row data, and returns each row's value and gradient.  A row moves
-    only when the step improves it, keeping the candidate's gradient for its
-    next step, halves its step otherwise, and retires once the relative
-    improvement drops below _REL_TOL or the step underflows.  So each
-    iteration makes one objective call, and each row's final value is the
-    best it has seen (including the projected start), always attained by a
-    feasible point.
-    """
-    total = Z0.shape[0]
-    Z = project_fn(Z0)
-    f, G = objective(Z, np.arange(total))
-    steps = np.full(total, _STEP_SIZE)
-    active = np.ones(total, dtype=bool)
-    for _ in range(iterations):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        cand = project_fn(Z[idx] + steps[idx][:, None] * G[idx])
-        fc, gc = objective(cand, idx)
-        fa = f[idx]
-        improved = fc > fa
-        moved = idx[improved]
-        Z[moved] = cand[improved]
-        f[moved] = fc[improved]
-        G[moved] = gc[improved]
-        rel = (fc[improved] - fa[improved]) / np.maximum(1.0, np.abs(fc[improved]))
-        active[moved[rel < _REL_TOL]] = False
-        stalled = idx[~improved]
-        steps[stalled] *= 0.5
-        active[stalled[steps[stalled] < _MIN_STEP]] = False
-    return f
-
-
 def _check_batch(data: BinaryDataset, batch: RademacherBatch) -> None:
     if batch.sigma_vectors.shape[1] != data.n:
         raise ValueError("sigma vectors must have length n")
@@ -295,9 +258,13 @@ def _ascend(
     coordinate uniform in [-W_radius, W_radius].  objective(Z, sig, slot)
     takes a row block, each row's sigma vector and each row's position
     within its sigma vector's block, and returns each row's value and
-    gradient.  Each sigma vector's max over its block is floored at the
-    objective's own value at the zero matrix in slot 0, a point that is
-    always feasible, so every returned value is attained by a feasible point.
+    gradient.  A row moves only when a step improves it, keeping the
+    candidate's gradient, and halves its step otherwise.  It retires once
+    the relative gain drops below _REL_TOL or the step underflows, so each
+    iteration makes one objective call and each row ends at the best value
+    it has seen.  Each sigma vector's max over its block is floored at the
+    objective at the zero matrix in slot 0, which is always feasible, so
+    every returned value is attained by a feasible point.
     """
     _check_batch(data, batch)
     opt.validate()
@@ -306,20 +273,36 @@ def _ascend(
     count = batch.sigma_vectors.shape[0]
     k, radius = data.k, spec.W_radius
     sig_rows = np.repeat(batch.sigma_vectors, block, axis=0)
+    slots = np.tile(np.arange(block), count)
     starts = []
     for i in range(count):
         rng = np.random.default_rng([batch.seed, i])
         starts.append(rng.uniform(-1.0, 1.0, size=(block, k * cols)) * radius)
-    best = _pga(
-        lambda Z, idx: objective(Z, sig_rows[idx], idx % block),
-        lambda Z: _project_columns(Z, k, cols, radius),
-        np.concatenate(starts, axis=0),
-        opt.iterations,
-    )
+    Z = _project_columns(np.concatenate(starts, axis=0), k, cols, radius)
+    f, G = objective(Z, sig_rows, slots)
+    steps = np.full(Z.shape[0], _STEP_SIZE)
+    active = np.ones(Z.shape[0], dtype=bool)
+    for _ in range(opt.iterations):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        cand = _project_columns(Z[idx] + steps[idx][:, None] * G[idx], k, cols, radius)
+        fc, gc = objective(cand, sig_rows[idx], slots[idx])
+        fa = f[idx]
+        improved = fc > fa
+        moved = idx[improved]
+        Z[moved] = cand[improved]
+        f[moved] = fc[improved]
+        G[moved] = gc[improved]
+        rel = (fc[improved] - fa[improved]) / np.maximum(1.0, np.abs(fc[improved]))
+        active[moved[rel < _REL_TOL]] = False
+        stalled = idx[~improved]
+        steps[stalled] *= 0.5
+        active[stalled[steps[stalled] < _MIN_STEP]] = False
     floor = objective(
         np.zeros((count, k * cols)), batch.sigma_vectors, np.zeros(count, dtype=int)
     )[0]
-    return np.maximum(best.reshape(count, block).max(axis=1), floor)
+    return np.maximum(f.reshape(count, block).max(axis=1), floor)
 
 
 def _part1_rows(Z, X, sig_rows):
@@ -328,22 +311,6 @@ def _part1_rows(Z, X, sig_rows):
     A = Z @ X.T
     value = np.einsum("rn,rn->r", softplus(A), sig_rows) / n
     return value, (sigmoid(A) * sig_rows) @ X / n
-
-
-def part1_objective(z, X, sig, m: int) -> float:
-    """Objective of the part-1 family at one flat point z = [b | w_1 .. w_m]."""
-    z, X, sig = (np.asarray(a, dtype=float) for a in (z, X, sig))
-    n, k = X.shape
-    w_values = _part1_rows(z[k:].reshape(m, k), X, np.tile(sig, (m, 1)))[0]
-    return float(m * (z[:k] @ (sig @ X)) / n + w_values.sum())
-
-
-def part1_gradient(z, X, sig, m: int) -> np.ndarray:
-    """Analytic gradient of part1_objective, same layout as z."""
-    z, X, sig = (np.asarray(a, dtype=float) for a in (z, X, sig))
-    n, k = X.shape
-    gw = _part1_rows(z[k:].reshape(m, k), X, np.tile(sig, (m, 1)))[1]
-    return np.concatenate([m * (sig @ X) / n, gw.ravel()])
 
 
 def _part1_family(
@@ -414,11 +381,14 @@ def _t_rows(Z, X, sig_rows, m: int, u, j):
     mid = sigmoid((W_u[:, None, :] @ s)[:, 0])
     value = np.einsum("rn,rn->r", W_uj * mid, sig_rows) / n
     G_pre = g * W_uj * mid * (1.0 - mid)
-    # In place: fewer (rows, m, n) temporaries for the heap to free and refault.
-    D = G_pre[:, None, :] * W_u[:, :, None] * s
-    D *= 1.0 - s
+    grad_u = (s @ G_pre[:, :, None])[:, :, 0]
+    # In place, s turned into 1 - s after its last read: two (rows, m, n) arrays
+    # alive, not three, so glibc does not trim and refault the heap every call.
+    D = G_pre[:, None, :] * W_u[:, :, None]
+    D *= s
+    D *= np.subtract(1.0, s, out=s)
     grad = (D @ X).transpose(0, 2, 1)
-    grad[rows, u, :] += (s @ G_pre[:, :, None])[:, :, 0]
+    grad[rows, u, :] += grad_u
     grad[rows, u, j] += np.einsum("rn,rn->r", g, mid)
     return value, grad.reshape(Z.shape)
 

@@ -108,10 +108,18 @@ def gradient_gap(objective, z: np.ndarray) -> float:
     return np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
 
 
+def rows_gradient_gap(rows_fn, Z: np.ndarray, *args) -> float:
+    """gradient_gap of an ascent row function's summed row values over Z."""
+    def objective(p):
+        value, grad = rows_fn(p.reshape(Z.shape), *args)
+        return value.sum(), grad.ravel()
+    return gradient_gap(objective, Z.ravel())
+
+
 def part1_gradient_gap(X, sig, m: int, z: np.ndarray) -> float:
-    """gradient_gap of rademacher.part1_gradient against part1_objective."""
-    pair = (rademacher.part1_objective, rademacher.part1_gradient)
-    return gradient_gap(lambda p: [f(p, X, sig, m) for f in pair], z)
+    """rows_gradient_gap of rademacher._part1_rows at the m vectors in z[k:]."""
+    W = z[X.shape[1]:].reshape(m, -1)
+    return rows_gradient_gap(rademacher._part1_rows, W, X, np.tile(sig, (m, 1)))
 
 
 def suite_factorization(seed: int = 0) -> SuiteResult:
@@ -173,8 +181,8 @@ def suite_projection(seed: int = 0) -> SuiteResult:
 def suite_gradient(seed: int = 0) -> SuiteResult:
     """The ascent gradients against central differences of their objectives.
 
-    Covers rademacher.part1_gradient, the CD1_LOGZ row gradient and the T
-    row gradient at every pair (u, j).
+    Covers the row functions themselves: _part1_rows, _cd1_logz_rows and
+    _t_rows at every pair (u, j).
     """
     rng = np.random.default_rng([seed, 5])
     checks = failures = 0
@@ -183,13 +191,12 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
         k = int(rng.integers(1, 5))
         m = int(rng.integers(1, 4))
         X, sig, z = ascent_instance(rng, n, k, m)
-        gaps = [part1_gradient_gap(X, sig, m, z)]
         # the w block doubles as one flattened k x m matrix W
-        def one_row(rows_fn, *pair):
-            return lambda W: [a[0] for a in rows_fn(W[None], X, sig[None], m, *pair)]
-        gaps.append(gradient_gap(one_row(rademacher._cd1_logz_rows), z[k:]))
+        row = (z[k:].reshape(1, -1), X, sig[None], m)
+        gaps = [part1_gradient_gap(X, sig, m, z),
+                rows_gradient_gap(rademacher._cd1_logz_rows, *row)]
         for u, j in np.ndindex(k, m):
-            gaps.append(gradient_gap(one_row(rademacher._t_rows, [u], [j]), z[k:]))
+            gaps.append(rows_gradient_gap(rademacher._t_rows, *row, [u], [j]))
         checks += len(gaps)
         failures += sum(gap > 1e-4 for gap in gaps)
     return SuiteResult("gradient", checks, failures)

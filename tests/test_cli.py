@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import rbmrad as rr
+from conftest import random_params
 from rbmrad import cd1 as cd1_mod
 from rbmrad import cli, fileio
 from rbmrad import rademacher as rad_mod
@@ -391,6 +392,35 @@ class TestTrain:
         assert run("train", "--config", str(cfg), "--out", str(out)) == 0
         traces = fileio.read_trace_csv(out / "trace.csv")
         assert len(traces) == 1 and traces[0].epoch == 0
+
+    def test_starts_from_init_params_file(self, tmp_path, rng):
+        out = tmp_path / "out"
+        init = tmp_path / "init.txt"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"k = 4\nm = 2\nn = 12\nepochs = 2\ninit_params_file = {init}")
+        run("gen-data", "--config", str(cfg), "--out", str(out))
+        params = random_params(rng, 4, 3)  # m comes from the file, not the config
+        fileio.write_params(init, params)
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 0
+        first = fileio.read_trace_csv(out / "trace.csv")[0]
+        data = fileio.read_dataset(out / "dataset.txt")
+        expected = float(rr.dataset_log_likelihoods(params, data).mean())
+        assert (first.epoch, first.mean_exact_loglik) == (0, expected)
+
+    @pytest.mark.parametrize("text", [
+        "k=3 m=2\n0 0\n0 0\n0 0\n0 0 0\n0 0\n",
+        "k=4 m=3\n" + "0.5 0.5\n" * 4 + "0 0 0 0\n0 0\n",
+    ], ids=["built_for_k3", "rows_narrower_than_m"])
+    def test_unusable_init_params_file_exits_2(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        init = tmp_path / "init.txt"
+        init.write_text(text)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"k = 4\nm = 2\nn = 12\nepochs = 1\ninit_params_file = {init}")
+        run("gen-data", "--config", str(cfg), "--out", str(out))
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
 
 
 class TestVerify:

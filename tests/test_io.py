@@ -72,6 +72,12 @@ class TestParamsFile:
         with pytest.raises(ValueError):
             fileio.read_params(path)
 
+    def test_weight_block_must_match_header_m(self, tmp_path):
+        path = tmp_path / "narrow.txt"
+        path.write_text("k=2 m=3\n0.5 0.5\n0.5 0.5\n0 0\n0 0\n")
+        with pytest.raises(ValueError, match="expected 2 rows of 3 weights"):
+            fileio.read_params(path)
+
 
 class TestMembersFile:
     def test_roundtrip(self, tmp_path):

@@ -405,20 +405,44 @@ class TestBatchIndependence:
 
 
 class TestAscentDriver:
-    """_pga steps along the gradient stored with each row's current point."""
+    """_ascend steps along the gradient stored with each row's current point."""
+
+    @staticmethod
+    def ascend(rng, objective, iterations):
+        # 16 sigma vectors of one row each; a row is one column of k = 4
+        # entries in the unit l1 ball.
+        data = bernoulli_data(rng, 5, 4)
+        spec = rr.ConstraintSpec(B_radius=0.0, W_radius=1.0)
+        opt = rr.OptimizerSettings(restarts=4, iterations=iterations)
+        batch = rr.sample_sigma_batch(5, 16, 2)
+        return rademacher._ascend(data, spec, batch, opt, 1, 1, objective)
 
     def test_reaches_maximum_of_concave_quadratic(self, rng):
         # The weights make the quadratic anisotropic: a gradient kept from
         # the start then no longer points at c, so a stale one stalls short.
         a = np.array([0.5, 1.0, 2.0, 4.0])
         c = np.array([0.3, -0.2, 0.1, 0.25])  # ||c||_1 = 0.85, inside the ball
-        values = rademacher._pga(
-            lambda Z, idx: (-((Z - c) ** 2 * a).sum(axis=1), -2.0 * a * (Z - c)),
-            lambda Z: rademacher._project_l1_rows(Z, 1.0),
-            rng.uniform(-1.0, 1.0, size=(16, 4)),
+        values = self.ascend(
+            rng,
+            lambda Z, sig, slot: (-((Z - c) ** 2 * a).sum(axis=1), -2.0 * a * (Z - c)),
             500,
         )
         assert np.all(values <= 0.0) and np.all(values >= -1e-6)
+
+    def test_rows_retire_when_the_step_underflows(self, rng):
+        # A flat objective never accepts a step, so every row halves its
+        # step 44 times (0.1 * 2**-44 < _MIN_STEP) and retires long before
+        # the cap of 200 iterations.
+        calls = []
+
+        def flat(Z, sig, slot):
+            calls.append(Z.shape[0])
+            return np.zeros(Z.shape[0]), np.ones_like(Z)
+
+        values = self.ascend(rng, flat, 200)
+        assert len(calls) == 1 + 44 + 1  # the start, the steps, the floor
+        assert set(calls) == {16}
+        assert np.array_equal(values, np.zeros(16))
 
     def test_one_objective_call_per_iteration(self, rng, monkeypatch):
         # Plus one call for the floor: an all-zero Z, one row per sigma vector.
