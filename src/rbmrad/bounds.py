@@ -82,12 +82,9 @@ def bound_theorem1(B: float, W: float, k: int, m: int, n: int) -> float:
     Computed as m * (bound_lemma1 + bound_remark2) with d = k, which is the
     same real number and makes the decomposition identity exact.
     """
-    B = _check_radius(B, "B")
-    W = _check_radius(W, "W")
     k = _check_count(k, "k", 2)
     m = _check_count(m, "m", 1)
-    n = _check_count(n, "n", 1)
-    return m * (_massart(B, math.log(k), n) + _massart(W, math.log(k), n))
+    return m * (bound_lemma1(B, k, n) + bound_remark2(W, k, n))
 
 
 def bound_lemma4_finite(W: float, ln_card_T: float, n: int) -> float:
@@ -114,11 +111,5 @@ def bound_corollary1(W: float, k: int, m: int, n: int, vc: int) -> float:
     bound under the Sauer-Shelah cap, so the stated reductions (vc = 0
     recovers the B = 0 likelihood bound) are exact.
     """
-    W = _check_radius(W, "W")
-    k = _check_count(k, "k", 2)
-    m = _check_count(m, "m", 1)
-    n = _check_count(n, "n", 1)
-    vc = _check_count(vc, "vc", 0)
-    part1_term = m * _massart(W, math.log(k), n)
-    finite_term = k * bound_lemma4_finite(W, sauer_shelah_ln_card(vc, n), n)
-    return part1_term + finite_term
+    part1_term = bound_theorem1(0.0, W, k, m, n)  # checks k and m first
+    return part1_term + k * bound_lemma4_finite(W, sauer_shelah_ln_card(vc, n), n)

@@ -312,6 +312,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     data = fileio.read_dataset(_path(cfg, "dataset.txt"))
     if cfg.init_params_file:
         init = fileio.read_params(cfg.init_params_file)
+        if init.m != cfg.m:
+            raise ConfigError(f"params are built for m={init.m}, config has m={cfg.m}")
     else:
         rng = np.random.default_rng([cfg.seed, 999])
         init = RbmParams(

@@ -18,10 +18,13 @@ ascend over the whole W (cols = m).  All four follow analytic gradients,
 and one forward pass gives each row's value and gradient.
 
 Sigma index i draws its optimizer randomness from the stream (master seed,
-i), and all restarts and sigma vectors share one row-per-problem batch.  The
+i), and all restarts and sigma vectors share one row-per-problem block,
+which every objective call of an ascent gets whole, in one order.  The
 projection and the T and CD1_LOGZ row functions give a row the same bits in
 any block.  _part1_rows does not: BLAS rounds its 2-D products differently
-for blocks of 1 to 3 rows, so H and LOGLIK_PART1 can move in the last bits.
+with the number of rows (at k=10, n=50, for most counts), so an H or
+LOGLIK_PART1 value depends in its last bits on how many sigma vectors share
+its batch, and on nothing else about them.
 """
 
 from __future__ import annotations
@@ -255,16 +258,17 @@ def _ascend(
     A row is a flattened k x cols matrix, and each of its columns lies in
     the l1 ball of radius spec.W_radius.  Sigma vector i owns `block`
     consecutive rows whose starts come from the stream (seed, i), each
-    coordinate uniform in [-W_radius, W_radius].  objective(Z, sig, slot)
-    takes a row block, each row's sigma vector and each row's position
-    within its sigma vector's block, and returns each row's value and
-    gradient.  A row moves only when a step improves it, keeping the
-    candidate's gradient, and halves its step otherwise.  It retires once
-    the relative gain drops below _REL_TOL or the step underflows, so each
-    iteration makes one objective call and each row ends at the best value
-    it has seen.  Each sigma vector's max over its block is floored at the
-    objective at the zero matrix in slot 0, which is always feasible, so
-    every returned value is attained by a feasible point.
+    coordinate uniform in [-W_radius, W_radius].  objective(Z, sig_rows)
+    takes the whole row block, in one fixed order, with each row's sigma
+    vector, and returns each row's value and gradient.  Each iteration
+    makes one objective call on every row.  An active row moves only when
+    its step improves it, keeping the candidate's gradient, and halves its
+    step otherwise.  It retires once the relative gain drops below
+    _REL_TOL or the step underflows, and from then on keeps its point,
+    value, gradient and step, so each row ends at the best value it has
+    seen.  Each sigma vector's max over its block is floored at the
+    objective at the zero matrix in its first row, which is always
+    feasible, so every returned value is attained by a feasible point.
     """
     _check_batch(data, batch)
     opt.validate()
@@ -273,35 +277,28 @@ def _ascend(
     count = batch.sigma_vectors.shape[0]
     k, radius = data.k, spec.W_radius
     sig_rows = np.repeat(batch.sigma_vectors, block, axis=0)
-    slots = np.tile(np.arange(block), count)
     starts = []
     for i in range(count):
         rng = np.random.default_rng([batch.seed, i])
         starts.append(rng.uniform(-1.0, 1.0, size=(block, k * cols)) * radius)
     Z = _project_columns(np.concatenate(starts, axis=0), k, cols, radius)
-    f, G = objective(Z, sig_rows, slots)
+    f, G = objective(Z, sig_rows)
     steps = np.full(Z.shape[0], _STEP_SIZE)
     active = np.ones(Z.shape[0], dtype=bool)
     for _ in range(opt.iterations):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        if not active.any():
             break
-        cand = _project_columns(Z[idx] + steps[idx][:, None] * G[idx], k, cols, radius)
-        fc, gc = objective(cand, sig_rows[idx], slots[idx])
-        fa = f[idx]
-        improved = fc > fa
-        moved = idx[improved]
-        Z[moved] = cand[improved]
-        f[moved] = fc[improved]
-        G[moved] = gc[improved]
-        rel = (fc[improved] - fa[improved]) / np.maximum(1.0, np.abs(fc[improved]))
-        active[moved[rel < _REL_TOL]] = False
-        stalled = idx[~improved]
+        cand = _project_columns(Z + steps[:, None] * G, k, cols, radius)
+        fc, gc = objective(cand, sig_rows)
+        improved = active & (fc > f)
+        stalled = active & ~improved
+        rel = (fc - f) / np.maximum(1.0, np.abs(fc))
+        Z[improved] = cand[improved]
+        f[improved] = fc[improved]
+        G[improved] = gc[improved]
         steps[stalled] *= 0.5
-        active[stalled[steps[stalled] < _MIN_STEP]] = False
-    floor = objective(
-        np.zeros((count, k * cols)), batch.sigma_vectors, np.zeros(count, dtype=int)
-    )[0]
+        active &= ~((improved & (rel < _REL_TOL)) | (stalled & (steps < _MIN_STEP)))
+    floor = objective(np.zeros_like(Z), sig_rows)[0].reshape(count, block)[:, 0]
     return np.maximum(f.reshape(count, block).max(axis=1), floor)
 
 
@@ -329,7 +326,7 @@ def _part1_family(
     X = data.samples
     best_w = _ascend(
         data, spec, batch, opt, 1, opt.restarts,
-        lambda Z, sig, slot: _part1_rows(Z, X, sig),
+        lambda Z, sig: _part1_rows(Z, X, sig),
     )
     values = m * (_linear_values(data, batch, spec.B_radius) + best_w)
     return EstimateReport(class_name, values, batch.seed, opt.restarts)
@@ -429,10 +426,11 @@ def estimate_R_T(
     # A sigma vector's block runs through the pairs (u, j) in row-major
     # order, with `restarts` consecutive rows per pair.
     pair = np.arange(data.k * m * opt.restarts) // opt.restarts
-    U, J = pair // m, pair % m
+    count = batch.sigma_vectors.shape[0]
+    U, J = np.tile(pair // m, count), np.tile(pair % m, count)
     values = _ascend(
         data, spec, batch, opt, m, pair.size,
-        lambda Z, sig, slot: _t_rows(Z, X, sig, m, U[slot], J[slot]),
+        lambda Z, sig: _t_rows(Z, X, sig, m, U, J),
     )
     return EstimateReport("T", values, batch.seed, opt.restarts)
 
@@ -448,7 +446,7 @@ def estimate_R_cd1_logZ(
     X = data.samples
     values = _ascend(
         data, spec, batch, opt, m, opt.restarts,
-        lambda Z, sig, slot: _cd1_logz_rows(Z, X, sig, m),
+        lambda Z, sig: _cd1_logz_rows(Z, X, sig, m),
     )
     return EstimateReport("CD1_LOGZ", values, batch.seed, opt.restarts)
 

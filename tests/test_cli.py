@@ -399,7 +399,7 @@ class TestTrain:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"k = 4\nm = 2\nn = 12\nepochs = 2\ninit_params_file = {init}")
         run("gen-data", "--config", str(cfg), "--out", str(out))
-        params = random_params(rng, 4, 3)  # m comes from the file, not the config
+        params = random_params(rng, 4, 2)
         fileio.write_params(init, params)
         assert run("train", "--config", str(cfg), "--out", str(out)) == 0
         first = fileio.read_trace_csv(out / "trace.csv")[0]
@@ -410,7 +410,8 @@ class TestTrain:
     @pytest.mark.parametrize("text", [
         "k=3 m=2\n0 0\n0 0\n0 0\n0 0 0\n0 0\n",
         "k=4 m=3\n" + "0.5 0.5\n" * 4 + "0 0 0 0\n0 0\n",
-    ], ids=["built_for_k3", "rows_narrower_than_m"])
+        "k=4 m=3\n" + "0 0 0\n" * 4 + "0 0 0 0\n0 0 0\n",
+    ], ids=["built_for_k3", "rows_narrower_than_m", "built_for_m3"])
     def test_unusable_init_params_file_exits_2(self, tmp_path, capsys, text):
         out = tmp_path / "out"
         init = tmp_path / "init.txt"

@@ -424,7 +424,7 @@ class TestAscentDriver:
         c = np.array([0.3, -0.2, 0.1, 0.25])  # ||c||_1 = 0.85, inside the ball
         values = self.ascend(
             rng,
-            lambda Z, sig, slot: (-((Z - c) ** 2 * a).sum(axis=1), -2.0 * a * (Z - c)),
+            lambda Z, sig: (-((Z - c) ** 2 * a).sum(axis=1), -2.0 * a * (Z - c)),
             500,
         )
         assert np.all(values <= 0.0) and np.all(values >= -1e-6)
@@ -435,7 +435,7 @@ class TestAscentDriver:
         # the cap of 200 iterations.
         calls = []
 
-        def flat(Z, sig, slot):
+        def flat(Z, sig):
             calls.append(Z.shape[0])
             return np.zeros(Z.shape[0]), np.ones_like(Z)
 
@@ -444,8 +444,30 @@ class TestAscentDriver:
         assert set(calls) == {16}
         assert np.array_equal(values, np.zeros(16))
 
+    def test_retired_rows_stay_in_the_block(self, rng):
+        # Rows 0-7 are flat and retire by step underflow after 44 halvings;
+        # rows 8-15 follow the quadratic above.  Every call still gets all
+        # 16 rows in one order, and a retired row keeps its value.
+        a = np.array([0.5, 1.0, 2.0, 4.0])
+        c = np.array([0.3, -0.2, 0.1, 0.25])
+        flat = np.arange(16) < 8
+        seen = []
+
+        def mixed(Z, sig):
+            seen.append(sig)
+            value = np.where(flat, 0.25, -((Z - c) ** 2 * a).sum(axis=1))
+            grad = np.where(flat[:, None], 1.0, -2.0 * a * (Z - c))
+            return value, grad
+
+        values = self.ascend(rng, mixed, 500)
+        sigma = rr.sample_sigma_batch(5, 16, 2).sigma_vectors
+        assert len(seen) > 1 + 44 + 1
+        assert all(np.array_equal(sig, sigma) for sig in seen)
+        assert np.array_equal(values[flat], np.full(8, 0.25))
+        assert np.all(values[~flat] <= 0.0) and np.all(values[~flat] >= -1e-6)
+
     def test_one_objective_call_per_iteration(self, rng, monkeypatch):
-        # Plus one call for the floor: an all-zero Z, one row per sigma vector.
+        # Plus one call for the floor: an all-zero Z over the whole block.
         calls = []
         rows = rademacher._part1_rows
 
@@ -457,8 +479,9 @@ class TestAscentDriver:
         data = bernoulli_data(rng, 10, 3)
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         rr.estimate_R_H(data, spec, rr.sample_sigma_batch(10, 6, 8), SMALL_OPT)
-        assert calls.count((6, True)) == 1
-        ascent = [c for c in calls if c != (6, True)]
+        floor = (6 * SMALL_OPT.restarts, True)
+        assert calls.count(floor) == 1
+        ascent = [c for c in calls if c != floor]
         assert 1 <= len(ascent) <= SMALL_OPT.iterations + 1
         assert ascent[0][0] == 6 * SMALL_OPT.restarts
 
