@@ -143,10 +143,12 @@ class HypothesisClass:
     """How the CLI estimates one class and which closed form it is held to.
 
     estimate(cfg, data, spec, batch, opt) returns the EstimateReport and
-    the bound inputs it ran on that the config does not give; context
+    the estimate columns it ran on that the config does not give; context
     names the config fields among m, B_radius and W_radius that the
-    estimate CSV records; bounds are the BOUND_KEYS names whose values are
+    estimate CSV records; bounds are the bounds.csv names whose values are
     summed into the comparator, none when the class has no closed form.
+    compare holds the estimate to every bound row whose recorded inputs
+    equal its columns (see _match).
     """
 
     estimate: Callable
@@ -197,16 +199,9 @@ CLASSES = {
     "FINITE_T": HypothesisClass(_estimate_finite_t, bounds=("LEMMA4_FINITE",)),
 }
 
-# Bound name -> {bound input: estimate column it must equal}.  An input
-# mapped to None is free: every row of the bound across its values is
-# compared, so COROLLARY1 gives one comparison row per vc.
-BOUND_KEYS = {
-    "LEMMA1": {"B": "B_radius", "d": "k", "n": "n"},
-    "REMARK2": {"W": "W_radius", "d": "k", "n": "n"},
-    "THEOREM1": {"B": "B_radius", "W": "W_radius", "k": "k", "m": "m", "n": "n"},
-    "LEMMA4_FINITE": {"W": "W_radius", "ln_card_T": "ln_card_T", "n": "n"},
-    "COROLLARY1": {"W": "W_radius", "k": "k", "m": "m", "n": "n", "vc": None},
-}
+# bounds.csv inputs whose estimate CSV column has another name.
+_ESTIMATE_COLUMN = {"B": "B_radius", "W": "W_radius", "d": "k"}
+_ESTIMATE_COLUMNS = set(fileio.ESTIMATE_HEADER.split(","))
 
 
 def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
@@ -219,11 +214,8 @@ def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
     opt = OptimizerSettings(restarts=cfg.restarts, iterations=cfg.iterations)
     report, recorded = cls.estimate(cfg, data, spec, batch, opt)
 
-    context = {
-        name: getattr(cfg, name) if name in cls.context else None
-        for name in ("m", "B_radius", "W_radius")
-    }
-    row = {**fileio.estimate_row(report, data.n, data.k, **context), **recorded}
+    context = {name: getattr(cfg, name) for name in cls.context}
+    row = fileio.estimate_row(report, n=data.n, k=data.k, **context, **recorded)
     out = _path(cfg, f"estimate_{class_name}.csv")
     fileio.write_estimate_csv(out, [row])
     print(f"wrote {out}")
@@ -231,12 +223,17 @@ def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
 
 
 def _match(bound_rows, name, est):
-    keys = {key: col for key, col in BOUND_KEYS[name].items() if col is not None}
+    # A row matches when every input it records equals the estimate's column
+    # for it.  An input with no estimate column (vc) is free, so COROLLARY1
+    # gives one comparison per vc.
+    def agrees(key, value):
+        col = _ESTIMATE_COLUMN.get(key, key)
+        return value is None or col not in _ESTIMATE_COLUMNS or est.get(col) == value
+
     return [
         row
         for row in bound_rows
-        if row["bound_name"] == name
-        and all(row.get(key) == est.get(col) for key, col in keys.items())
+        if row["bound_name"] == name and all(agrees(*item) for item in row.items())
     ]
 
 
@@ -278,9 +275,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                     f"{est['class_name']}: no {name} bound row with matching inputs",
                     file=sys.stderr,
                 )
-            # A free input gives one comparison per matching row; otherwise
-            # the first matching row is used.
-            choices.append(found if None in BOUND_KEYS[name].values() else found[:1])
+            choices.append(found)
         for combo in itertools.product(*choices):
             bound_value = sum(hit["value"] for hit in combo)
             rows.append(

@@ -10,6 +10,7 @@ or none, never a truncated one.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -75,11 +76,13 @@ def _read_nonblank(path, what: str) -> list[str]:
     return lines
 
 
-def _parse_tagged(token: str, tag: str) -> int:
-    prefix = tag + "="
-    if not token.startswith(prefix):
-        raise ValueError(f"expected '{prefix}<int>', got {token!r}")
-    return int(token[len(prefix):])
+def _tagged(line: str, *tags: str) -> list[int]:
+    """The ints of a `tag=<int> ...` line with exactly these tags, in order."""
+    match = re.fullmatch(r"\s+".join(rf"{tag}=(-?\d+)" for tag in tags), line)
+    if match is None:
+        form = " ".join(f"{tag}=<int>" for tag in tags)
+        raise ValueError(f"expected '{form}', got {line!r}")
+    return [int(value) for value in match.groups()]
 
 
 def write_dataset(path, data: BinaryDataset) -> None:
@@ -91,9 +94,7 @@ def write_dataset(path, data: BinaryDataset) -> None:
 
 def read_dataset(path) -> BinaryDataset:
     lines = _read_nonblank(path, "dataset")
-    k_tok, n_tok = lines[0].split()
-    k = _parse_tagged(k_tok, "k")
-    n = _parse_tagged(n_tok, "n")
+    k, n = _tagged(lines[0], "k", "n")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} sample lines, found {len(lines) - 1}")
     rows = []
@@ -116,9 +117,7 @@ def write_params(path, params: RbmParams) -> None:
 
 def read_params(path) -> RbmParams:
     lines = _read_nonblank(path, "parameters")
-    k_tok, m_tok = lines[0].split()
-    k = _parse_tagged(k_tok, "k")
-    m = _parse_tagged(m_tok, "m")
+    k, m = _tagged(lines[0], "k", "m")
     if len(lines) != k + 3:
         raise ValueError(f"expected {k} weight rows plus b and c lines")
     W = np.array([[float(v) for v in lines[1 + i].split()] for i in range(k)])
@@ -147,10 +146,7 @@ def write_members(path, members) -> None:
 
 def read_members(path) -> list:
     lines = _read_nonblank(path, "members")
-    k_tok, m_tok, count_tok = lines[0].split()
-    k = _parse_tagged(k_tok, "k")
-    m = _parse_tagged(m_tok, "m")
-    count = _parse_tagged(count_tok, "count")
+    k, m, count = _tagged(lines[0], "k", "m", "count")
     if count < 1:
         raise ValueError(f"members file {path} lists count={count}; it needs a member")
     expected = 1 + count * (k + 1)
@@ -159,9 +155,7 @@ def read_members(path) -> list:
     members = []
     pos = 1
     for _ in range(count):
-        u_tok, j_tok = lines[pos].split()
-        u = _parse_tagged(u_tok, "u")
-        j = _parse_tagged(j_tok, "j")
+        u, j = _tagged(lines[pos], "u", "j")
         if not (0 <= u < k and 0 <= j < m):
             raise ValueError(f"member index u={u} j={j} outside k={k} m={m}")
         W = np.array(
@@ -206,21 +200,11 @@ def write_bounds_csv(path, reports) -> None:
     _write_csv(path, BOUNDS_HEADER, [bound_row(r) for r in reports])
 
 
-def estimate_row(
-    report: EstimateReport,
-    n: int,
-    k: int,
-    m: int | None,
-    B_radius: float | None,
-    W_radius: float | None,
-) -> dict:
+def estimate_row(report: EstimateReport, **inputs) -> dict:
+    """One estimate CSV row: the report plus the inputs it ran on, by column."""
     return {
+        **inputs,
         "class_name": report.class_name,
-        "n": n,
-        "k": k,
-        "m": m,
-        "B_radius": B_radius,
-        "W_radius": W_radius,
         "num_sigma": report.num_sigma,
         "restarts": report.optimizer_restarts,
         "inner_sup_kind": report.inner_sup_kind,

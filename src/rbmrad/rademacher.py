@@ -55,11 +55,13 @@ _MIN_STEP = 1e-14
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Radii of the hypothesis balls: ||b||_1 <= B, each ||W_j||_1 <= W."""
+    """Radii of the hypothesis balls: ||b||_1 <= B, each ||W_j||_1 <= W.
+
+    The hidden bias c is fixed at 0 in every class.
+    """
 
     B_radius: float
     W_radius: float
-    c_mode: str = "fixed-zero"
 
     def __post_init__(self):
         for name in ("B_radius", "W_radius"):
@@ -67,8 +69,6 @@ class ConstraintSpec:
             if not (value >= 0.0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite nonnegative real")
             object.__setattr__(self, name, value)
-        if self.c_mode != "fixed-zero":
-            raise ValueError("c_mode must be 'fixed-zero'")
 
 
 @dataclass(frozen=True)
@@ -357,6 +357,9 @@ def t_value(W, u: int, j: int, X) -> np.ndarray:
     """Values of t_W(x) = W_uj sigmoid(sum_v W_uv sigmoid(x'W_v)) on rows of X."""
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
+    k, m = W.shape
+    if not (0 <= u < k and 0 <= j < m):
+        raise ValueError(f"pair u={u} j={j} outside k={k} m={m}")
     s = sigmoid(X @ W)
     mid = sigmoid(s @ W[u])
     return W[u, j] * mid

@@ -80,7 +80,7 @@ def test_criterion_05():
     """Class G estimate under the same bound with W=1 and c fixed at zero."""
     data = bernoulli(104, 50, 20)
     batch = rr.sample_sigma_batch(50, 10_000, 104)
-    spec = rr.ConstraintSpec(B_radius=0.0, W_radius=1.0, c_mode="fixed-zero")
+    spec = rr.ConstraintSpec(B_radius=0.0, W_radius=1.0)
     report = rr.estimate_R_G(data, spec, batch)
     bound = rr.bound_remark2(1.0, 20, 50)
     print(

@@ -13,6 +13,7 @@ import pytest
 
 import rbmrad as rr
 from conftest import random_params
+from rbmrad import bounds as bounds_mod
 from rbmrad import cd1 as cd1_mod
 from rbmrad import cli, fileio
 from rbmrad import rademacher as rad_mod
@@ -245,13 +246,7 @@ class TestCompare:
     def test_every_class_has_a_table_entry(self):
         assert set(cli.CLASSES) == set(rad_mod.CLASS_NAMES)
         for entry in cli.CLASSES.values():
-            assert set(entry.bounds) <= set(cli.BOUND_KEYS)
-        # Every join key names a column the two CSVs actually carry.
-        estimate_columns = fileio.ESTIMATE_HEADER.split(",")
-        bound_columns = fileio.BOUNDS_HEADER.split(",")
-        for keys in cli.BOUND_KEYS.values():
-            assert {col for col in keys.values() if col} <= set(estimate_columns)
-            assert set(keys) <= set(bound_columns)
+            assert set(entry.bounds) <= set(bounds_mod.BOUND_NAMES)
 
     def test_pipeline_rows_and_pair_probe(self, tmp_path, fast_cfg_path, capsys):
         out = tmp_path / "out"
@@ -352,6 +347,27 @@ class TestCompare:
         assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
         rows = fileio.read_csv(out / "comparison.csv")
         assert not any(r["class_name"] == "FINITE_T" for r in rows)
+        err = capsys.readouterr().err
+        assert "FINITE_T: no LEMMA4_FINITE bound row with matching inputs" in err
+
+    def test_finite_t_estimate_without_ln_card_t_column(
+        self, tmp_path, fast_cfg_path, capsys
+    ):
+        out = tmp_path / "out"
+        run("gen-data", "--config", fast_cfg_path, "--out", str(out))
+        fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 6, 1.0, 21))
+        run("bounds", "--config", fast_cfg_path, "--out", str(out))
+        run("estimate", "FINITE_T", "--config", fast_cfg_path, "--out", str(out))
+        # The estimate CSV of older versions had no ln_card_T column, so its
+        # row cannot show which members it ran on.
+        path = out / "estimate_FINITE_T.csv"
+        table = [line.split(",") for line in path.read_text().splitlines()]
+        drop = table[0].index("ln_card_T")
+        path.write_text("".join(
+            ",".join(cells[:drop] + cells[drop + 1:]) + "\n" for cells in table
+        ))
+        assert run("compare", "--config", fast_cfg_path, "--out", str(out)) == 0
+        assert fileio.read_csv(out / "comparison.csv") == []
         err = capsys.readouterr().err
         assert "FINITE_T: no LEMMA4_FINITE bound row with matching inputs" in err
 
@@ -541,14 +557,19 @@ class TestModuleEntry:
         assert (tmp_path / "bounds.csv").exists()
 
 
+def perfbench_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 class TestTracedBenchmark:
     def test_every_traced_global_exists(self):
         # The traced benchmark wraps module globals by name, so a refactor
         # that removes one makes install raise LookupError.
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = perfbench_spans()
         tracer = spans.Tracer()
         try:
             spans.install(tracer)
@@ -556,6 +577,29 @@ class TestTracedBenchmark:
             tracer.uninstall()
         assert rad_mod.sigmoid is rbm_mod.sigmoid
         assert cli.estimate_R_H is rr.estimate_R_H
+
+    def test_estimate_goes_through_the_traced_global(
+        self, tmp_path, fast_cfg_path, monkeypatch
+    ):
+        # Each class's layer time is measured by wrapping cli.<estimator>, so
+        # `estimate <CLASS>` must call that global, once.
+        estimators = perfbench_spans().ESTIMATORS
+        assert set(estimators) == set(rad_mod.CLASS_NAMES)
+        calls = []
+        for attr in estimators.values():
+            def spy(*args, _attr=attr, _real=getattr(cli, attr)):
+                calls.append(_attr)
+                return _real(*args)
+            monkeypatch.setattr(cli, attr, spy)
+        out = tmp_path / "out"
+        run("gen-data", "--config", fast_cfg_path, "--out", str(out))
+        fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 6, 1.0, 21))
+        for class_name, attr in estimators.items():
+            calls.clear()
+            assert run(
+                "estimate", class_name, "--config", fast_cfg_path, "--out", str(out)
+            ) == 0
+            assert calls == [attr]
 
 
 class TestInstalledScript:

@@ -79,6 +79,28 @@ class TestParamsFile:
             fileio.read_params(path)
 
 
+class TestTaggedLines:
+    # Each text is valid as written; line `at` is the `tag=<int>` line broken.
+    @pytest.mark.parametrize("read, text, at", [
+        (fileio.read_dataset, "k=2 n=1\n0 1", 0),
+        (fileio.read_params, "k=2 m=1\n0.5\n0.5\n0 0\n0", 0),
+        (fileio.read_members, "k=2 m=1 count=1\nu=0 j=0\n0.5\n0.5", 0),
+        (fileio.read_members, "k=2 m=1 count=1\nu=0 j=0\n0.5\n0.5", 1),
+    ], ids=["dataset", "params", "members", "member_index"])
+    def test_extra_or_missing_token_rejected(self, tmp_path, read, text, at):
+        path = tmp_path / "file.txt"
+        path.write_text(text + "\n")
+        read(path)
+        lines = text.splitlines()
+        line = lines[at]
+        form = " ".join(f"{tok.split('=')[0]}=<int>" for tok in line.split())
+        for bad in (f"{line} x=3", line.rsplit(" ", 1)[0]):
+            lines[at] = bad
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=f"expected '{form}'"):
+                read(path)
+
+
 class TestMembersFile:
     def test_roundtrip(self, tmp_path):
         members = rr.generate_members(3, 2, 5, 1.0, 13)
@@ -166,7 +188,7 @@ class TestCsvFiles:
         data = rr.BinaryDataset(rng.integers(0, 2, size=(10, 3)).astype(float))
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         report = rr.estimate_R_F(data, spec, rr.sample_sigma_batch(10, 20, 4))
-        row = fileio.estimate_row(report, 10, 3, None, 1.0, 1.0)
+        row = fileio.estimate_row(report, n=10, k=3, B_radius=1.0, W_radius=1.0)
         path = tmp_path / "est.csv"
         fileio.write_estimate_csv(path, [row])
         back = fileio.read_csv(path)[0]

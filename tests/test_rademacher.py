@@ -244,6 +244,19 @@ class TestClassT:
             radius = np.abs(W).sum(axis=0).max()
             assert abs(rr.t_value(W, u, j, x)[0]) <= radius
 
+    @pytest.mark.parametrize("u, j", [(-1, 0), (3, 0), (0, -1), (0, 2)])
+    def test_pair_out_of_range_rejected(self, rng, u, j):
+        # A negative index would otherwise wrap around to the last unit.
+        data = bernoulli_data(rng, 6, 3)
+        W = rng.uniform(-1, 1, size=(3, 2))
+        batch = rr.sample_sigma_batch(6, 4, 1)
+        with pytest.raises(ValueError, match="outside k=3 m=2"):
+            rr.t_value(W, u, j, data.samples)
+        with pytest.raises(ValueError, match="outside k=3 m=2"):
+            rr.estimate_R_finite_T(data, [(W, u, j)], batch)
+        with pytest.raises(ValueError, match="outside k=3 m=2"):
+            rr.count_quantized_behaviors(data, [W], u, j, 0.05)
+
     def test_per_sigma_nonnegative_and_bounded(self, rng):
         data = bernoulli_data(rng, 8, 3)
         batch = rr.sample_sigma_batch(8, 10, 3)
@@ -589,5 +602,3 @@ class TestReportValidation:
     def test_constraint_spec_validation(self):
         with pytest.raises(ValueError):
             rr.ConstraintSpec(B_radius=-1.0, W_radius=0.0)
-        with pytest.raises(ValueError):
-            rr.ConstraintSpec(B_radius=0.0, W_radius=0.0, c_mode="free")
