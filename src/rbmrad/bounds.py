@@ -10,33 +10,6 @@ term) hold exactly in floating point, not merely up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A named bound value together with the inputs that produced it."""
-
-    bound_name: str
-    value: float
-    inputs: dict
-
-    def __post_init__(self):
-        if self.bound_name not in BOUND_NAMES:
-            raise ValueError(f"unknown bound name {self.bound_name!r}")
-        if not (self.value >= 0.0):
-            raise ValueError("bound value must be nonnegative")
-        object.__setattr__(self, "inputs", dict(self.inputs))
-
-
-BOUND_NAMES = (
-    "LEMMA1",
-    "REMARK2",
-    "THEOREM1",
-    "LEMMA4_FINITE",
-    "COROLLARY1",
-    "SAUER_SHELAH",
-)
 
 
 def _massart(radius: float, ln_card: float, n: int) -> float:

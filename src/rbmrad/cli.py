@@ -81,7 +81,7 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
 
 def cmd_bounds(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
-    reports, skipped = [], []
+    rows, skipped = [], []
 
     def skip(name, reason):
         skipped.append(name)
@@ -90,7 +90,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     def add(name, bound, **inputs):
         # Each bound's parameters are named after its inputs.
         try:
-            reports.append(bc.BoundReport(name, bound(**inputs), inputs))
+            rows.append({"bound_name": name, **inputs, "value": bound(**inputs)})
         except ValueError as exc:
             skip(name, exc)
 
@@ -107,7 +107,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     for vc in cfg.vc_values:
         add("SAUER_SHELAH", bc.sauer_shelah_ln_card, vc=vc, n=n)
         add("COROLLARY1", bc.bound_corollary1, W=W, k=k, m=m, n=n, vc=vc)
-    fileio.write_bounds_csv(_path(cfg, "bounds.csv"), reports)
+    fileio.write_bounds_csv(_path(cfg, "bounds.csv"), rows)
     print(f"wrote {_path(cfg, 'bounds.csv')}")
     if skipped:
         print(f"skipped {len(skipped)} row(s)", file=sys.stderr)
@@ -237,8 +237,9 @@ def _match(bound_rows, name, est):
     ]
 
 
-def _comparison(est, bound_name, bound_value, stderr) -> dict:
+def _comparison(est, bound_name, bound_value) -> dict:
     # One sigma vector leaves the stderr nan: the mean then gets no margin.
+    stderr = est["stderr"]
     margin = 3.0 * stderr if math.isfinite(stderr) else 0.0
     return {
         "class_name": est["class_name"],
@@ -278,25 +279,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             choices.append(found)
         for combo in itertools.product(*choices):
             bound_value = sum(hit["value"] for hit in combo)
-            rows.append(
-                _comparison(est, "+".join(cls.bounds), bound_value, est["stderr"])
-            )
-
-    # Probe of the abstract's claim: part-1 estimate against part-1 plus the
-    # CD-1 log-partition estimate, within combined Monte-Carlo noise.  The sum
-    # is meaningful only when both estimates ran on the same inputs.
-    by_class = {est["class_name"]: est for est in estimates}
-    part1_est, cd1_est = by_class.get("LOGLIK_PART1"), by_class.get("CD1_LOGZ")
-    if part1_est and cd1_est:
-        keys = ("n", "k", "m", "B_radius", "W_radius")
-        differ = ", ".join(key for key in keys if part1_est[key] != cd1_est[key])
-        if differ:
-            note = f"LOGLIK_PART1 and CD1_LOGZ differ in {differ}; row skipped"
-            print(f"PART1_PLUS_CD1_LOGZ: {note}", file=sys.stderr)
-        else:
-            combined = math.sqrt(part1_est["stderr"] ** 2 + cd1_est["stderr"] ** 2)
-            total = part1_est["mean"] + cd1_est["mean"]
-            rows.append(_comparison(part1_est, "PART1_PLUS_CD1_LOGZ", total, combined))
+            rows.append(_comparison(est, "+".join(cls.bounds), bound_value))
 
     fileio.write_comparison_csv(_path(cfg, "comparison.csv"), rows)
     print(f"wrote {_path(cfg, 'comparison.csv')}")

@@ -15,7 +15,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bounds import BoundReport
 from .cd1 import TrainingTrace
 from .rademacher import EstimateReport
 from .rbm import BinaryDataset, RbmParams
@@ -172,6 +171,9 @@ def _write_csv(path, header: str, rows) -> None:
     lines = [header]
     columns = header.split(",")
     for row in rows:
+        unknown = sorted(row.keys() - columns)
+        if unknown:
+            raise ValueError(f"no CSV column for {', '.join(unknown)}")
         lines.append(",".join(_fmt_field(row.get(col)) for col in columns))
     _write_lines(path, lines)
 
@@ -192,12 +194,8 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
-def bound_row(report: BoundReport) -> dict:
-    return {**report.inputs, "bound_name": report.bound_name, "value": report.value}
-
-
-def write_bounds_csv(path, reports) -> None:
-    _write_csv(path, BOUNDS_HEADER, [bound_row(r) for r in reports])
+def write_bounds_csv(path, rows) -> None:
+    _write_csv(path, BOUNDS_HEADER, rows)
 
 
 def estimate_row(report: EstimateReport, **inputs) -> dict:

@@ -159,20 +159,6 @@ def sample_sigma_batch(n: int, count: int, seed: int) -> RademacherBatch:
     return RademacherBatch(sigma_vectors=sig, seed=seed)
 
 
-def sup_linear_l1(v, radius: float) -> float:
-    """Exact sup of b'v over ||b||_1 <= radius, i.e. radius * max_j |v_j|.
-
-    The supremum sits at a signed vertex radius * sign(v_j) e_j, so the
-    coefficient enters through its absolute value.
-    """
-    if not radius >= 0.0:
-        raise ValueError("radius must be nonnegative")
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size == 0:
-        raise ValueError("v must be nonempty")
-    return float(radius * np.abs(v).max())
-
-
 def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
     """Row-wise Euclidean projection onto the l1 ball of given radius."""
     if radius == 0.0:
@@ -473,7 +459,8 @@ def estimate_R_finite_T(
 def generate_members(
     k: int, m: int, count: int, radius: float, seed: int
 ) -> list[tuple[np.ndarray, int, int]]:
-    """Random T members: uniform W with columns projected into the l1 ball."""
+    """Random T members: W uniform on [-radius, radius] with columns projected
+    into the l1 ball, the start draw of _ascend."""
     if count < 1:
         raise ValueError("count must be positive")
     if not radius >= 0.0:
@@ -481,7 +468,8 @@ def generate_members(
     rng = np.random.default_rng(seed)
     members = []
     for _ in range(count):
-        W = _project_columns(rng.uniform(-1.0, 1.0, size=(1, k * m)), k, m, radius)
+        Z = rng.uniform(-1.0, 1.0, size=(1, k * m)) * radius
+        W = _project_columns(Z, k, m, radius)
         members.append((W.reshape(k, m), int(rng.integers(k)), int(rng.integers(m))))
     return members
 

@@ -203,25 +203,21 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
 
 
 def suite_holder(seed: int = 0) -> SuiteResult:
-    """sup_linear_l1 and _linear_values against the 2d signed vertices."""
+    """_linear_values, the inner sup of F, G and the part-1 bias term,
+    against the 2d signed vertices."""
     rng = np.random.default_rng([seed, 6])
-    checks = failures = 0
+    failures = 0
     for _ in range(200):
         d = int(rng.integers(1, 7))
         radius = float(rng.uniform(0.0, 3.0))
-        v = rng.uniform(-4.0, 4.0, size=d)
         vertices = np.concatenate([radius * np.eye(d), -radius * np.eye(d)])
-        gap = abs(rademacher.sup_linear_l1(v, radius) - (vertices @ v).max())
-        # F, G and the part-1 bias term take their inner sup from here
         n = int(rng.integers(1, 9))
         data = rbm.BinaryDataset(rng.integers(0, 2, size=(n, d)).astype(float))
         batch = rademacher.sample_sigma_batch(n, 4, int(rng.integers(2**31)))
         brute = (batch.sigma_vectors @ data.samples @ vertices.T).max(axis=1) / n
         values = rademacher._linear_values(data, batch, radius)
-        checks += 2
-        failures += gap > 1e-12
         failures += np.abs(values - brute).max() > 1e-12
-    return SuiteResult("holder", checks, failures)
+    return SuiteResult("holder", 200, failures)
 
 
 def suite_meanfield(seed: int = 0) -> SuiteResult:

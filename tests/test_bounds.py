@@ -152,23 +152,3 @@ class TestDomainChecks:
         with pytest.raises(ValueError):
             rr.bound_lemma4_finite(1.0, -0.5, 50)
 
-
-class TestBoundReport:
-    def test_roundtrip_fields(self):
-        report = rr.BoundReport("LEMMA1", 0.5, {"B": 1.0, "d": 4, "n": 50})
-        assert report.bound_name == "LEMMA1"
-        assert report.inputs["d"] == 4
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            rr.BoundReport("LEMMA9", 0.5, {})
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
-            rr.BoundReport("LEMMA1", -0.5, {})
-
-    def test_inputs_copied(self):
-        src = {"B": 1.0}
-        report = rr.BoundReport("LEMMA1", 0.5, src)
-        src["B"] = 9.0
-        assert report.inputs["B"] == 1.0

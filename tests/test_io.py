@@ -168,19 +168,19 @@ class TestAtomicWrite:
 
 class TestCsvFiles:
     def test_bounds_roundtrip(self, tmp_path):
-        reports = [
-            rr.BoundReport("LEMMA1", rr.bound_lemma1(1.0, 4, 50),
-                           {"B": 1.0, "d": 4, "n": 50}),
-            rr.BoundReport("SAUER_SHELAH", rr.sauer_shelah_ln_card(2, 50),
-                           {"vc": 2, "n": 50}),
+        written = [
+            {"bound_name": "LEMMA1", "B": 1.0, "d": 4, "n": 50,
+             "value": rr.bound_lemma1(1.0, 4, 50)},
+            {"bound_name": "SAUER_SHELAH", "vc": 2, "n": 50,
+             "value": rr.sauer_shelah_ln_card(2, 50)},
         ]
         path = tmp_path / "bounds.csv"
-        fileio.write_bounds_csv(path, reports)
+        fileio.write_bounds_csv(path, written)
         text = path.read_text()
         assert text.splitlines()[0] == fileio.BOUNDS_HEADER
         rows = fileio.read_csv(path)
         assert rows[0]["bound_name"] == "LEMMA1"
-        assert rows[0]["value"] == reports[0].value
+        assert rows[0]["value"] == written[0]["value"]
         assert rows[0]["vc"] is None
         assert rows[1]["vc"] == 2 and rows[1]["B"] is None
 
@@ -197,6 +197,18 @@ class TestCsvFiles:
         assert back["stderr"] == report.stderr
         assert back["m"] is None
         assert back["seed"] == 4
+
+    def test_key_without_a_column_rejected(self, tmp_path, rng):
+        # A misspelt input (W for W_radius) or one the header lacks (vc)
+        # would otherwise be written as nothing.
+        data = rr.BinaryDataset(rng.integers(0, 2, size=(10, 3)).astype(float))
+        spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
+        report = rr.estimate_R_F(data, spec, rr.sample_sigma_batch(10, 5, 4))
+        row = fileio.estimate_row(report, n=3, k=3, vc=2, W=1.0)
+        path = tmp_path / "est.csv"
+        with pytest.raises(ValueError, match="no CSV column for W, vc"):
+            fileio.write_estimate_csv(path, [row])
+        assert list(tmp_path.iterdir()) == []
 
     def test_comparison_roundtrip(self, tmp_path):
         rows = [{

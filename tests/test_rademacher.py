@@ -42,28 +42,6 @@ class TestSigmaBatch:
             rr.sample_sigma_batch(1, 0, 0)
 
 
-class TestSupLinearL1:
-    def test_signed_vertex(self):
-        assert rr.sup_linear_l1([3.0, -5.0], 2.0) == 10.0
-
-    def test_zero_radius(self):
-        assert rr.sup_linear_l1([1.0, 2.0], 0.0) == 0.0
-
-    def test_vertex_oracle(self, rng):
-        for _ in range(100):
-            d = int(rng.integers(1, 7))
-            radius = float(rng.uniform(0, 3))
-            v = rng.uniform(-4, 4, size=d)
-            vertices = np.concatenate([radius * np.eye(d), -radius * np.eye(d)])
-            assert abs(rr.sup_linear_l1(v, radius) - (vertices @ v).max()) <= 1e-12
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            rr.sup_linear_l1([1.0], -1.0)
-        with pytest.raises(ValueError, match="radius must be nonnegative"):
-            rr.sup_linear_l1([1.0], math.nan)
-
-
 class TestProjectL1:
     def test_interior_unchanged(self):
         v = np.array([0.25, -0.25])
@@ -535,6 +513,13 @@ class TestFiniteT:
         for W, u, j in members:
             assert np.abs(W).sum(axis=0).max() <= 0.8 + 1e-10
             assert 0 <= u < 5 and 0 <= j < 3
+
+    def test_members_reach_a_radius_above_k(self):
+        # The draw scales with the radius, so members fill the whole ball
+        # rather than a radius-k corner of it.
+        members = rr.generate_members(6, 3, 200, 30.0, 1)
+        norms = [np.abs(W).sum(axis=0).max() for W, _, _ in members]
+        assert max(norms) == pytest.approx(30.0, abs=1e-9)
 
 
 class TestQuantizedBehaviors:
