@@ -10,21 +10,21 @@ That is the safe direction when estimates are compared against upper
 bounds.  One loop, _ascend, owns the feasible set of every optimized class
 (k x cols matrices with each column in the l1 ball of radius W): it draws
 the starts, steps, projects, and floors each sigma vector's value at the
-class's own objective at the zero matrix.  An estimator passes only its
-row function.  The part-1 family (H, LOGLIK_PART1) bounds b and each w_j
-by separate balls, so its bias term takes the closed-form sup of F and
+class's own objective at the zero matrix.  A row's step doubles when its
+move is accepted and halves when it is not, and the row retires on a small
+relative gain, on step underflow, or at a projected fixed point; each
+objective call gets only the rows still active.  An estimator passes only
+its row function.  The part-1 family (H, LOGLIK_PART1) bounds b and each
+w_j by separate balls, so its bias term takes the closed-form sup of F and
 its m hidden units share one ascent over w (cols = 1); T and CD1_LOGZ
 ascend over the whole W (cols = m).  All four follow analytic gradients,
 and one forward pass gives each row's value and gradient.
 
 Sigma index i draws its optimizer randomness from the stream (master seed,
-i), and all restarts and sigma vectors share one row-per-problem block,
-which every objective call of an ascent gets whole, in one order.  The
-projection and the T and CD1_LOGZ row functions give a row the same bits in
-any block.  _part1_rows does not: BLAS rounds its 2-D products differently
-with the number of rows (at k=10, n=50, for most counts), so an H or
-LOGLIK_PART1 value depends in its last bits on how many sigma vectors share
-its batch, and on nothing else about them.
+i), and all restarts and sigma vectors share one row-per-problem block.
+The projection and every row function give a row the same bits in any
+block, as each product runs one row at a time, so a sigma vector's value
+does not depend on which rows share its calls or on its batch.
 """
 
 from __future__ import annotations
@@ -244,16 +244,20 @@ def _ascend(
     A row is a flattened k x cols matrix, and each of its columns lies in
     the l1 ball of radius spec.W_radius.  Sigma vector i owns `block`
     consecutive rows whose starts come from the stream (seed, i), each
-    coordinate uniform in [-W_radius, W_radius].  objective(Z, sig_rows)
-    takes the whole row block, in one fixed order, with each row's sigma
-    vector, and returns each row's value and gradient.  Each iteration
-    makes one objective call on every row.  An active row moves only when
-    its step improves it, keeping the candidate's gradient, and halves its
-    step otherwise.  It retires once the relative gain drops below
-    _REL_TOL or the step underflows, and from then on keeps its point,
-    value, gradient and step, so each row ends at the best value it has
-    seen.  Each sigma vector's max over its block is floored at the
-    objective at the zero matrix in its first row, which is always
+    coordinate uniform in [-W_radius, W_radius].  objective(Z, sig_rows,
+    rows) takes the points of the block rows listed in `rows`, in block
+    order, with each row's sigma vector, and returns each row's value and
+    gradient.  Each iteration makes one objective call on the active rows
+    only.  An active row moves only when its step improves it, keeping the
+    candidate's gradient, and then doubles its step; otherwise it stays
+    and halves its step.  It retires once an accepted move gains
+    relatively less than _REL_TOL, once its step underflows _MIN_STEP, or
+    once a rejected candidate equals its point bit for bit: then the
+    gradient lies in the normal cone of the feasible set there, so every
+    other step projects back to the same point.  A retired row leaves the
+    calls and keeps its point and value, so each row ends at the best
+    value it has seen.  Each sigma vector's max over its block is floored
+    at the objective at the zero matrix in its first row, which is always
     feasible, so every returned value is attained by a feasible point.
     """
     _check_batch(data, batch)
@@ -268,32 +272,37 @@ def _ascend(
         rng = np.random.default_rng([batch.seed, i])
         starts.append(rng.uniform(-1.0, 1.0, size=(block, k * cols)) * radius)
     Z = _project_columns(np.concatenate(starts, axis=0), k, cols, radius)
-    f, G = objective(Z, sig_rows)
+    every = np.arange(Z.shape[0])
+    f, G = objective(Z, sig_rows, every)
     steps = np.full(Z.shape[0], _STEP_SIZE)
-    active = np.ones(Z.shape[0], dtype=bool)
+    rows = every
     for _ in range(opt.iterations):
-        if not active.any():
+        if rows.size == 0:
             break
-        cand = _project_columns(Z + steps[:, None] * G, k, cols, radius)
-        fc, gc = objective(cand, sig_rows)
-        improved = active & (fc > f)
-        stalled = active & ~improved
-        rel = (fc - f) / np.maximum(1.0, np.abs(fc))
-        Z[improved] = cand[improved]
-        f[improved] = fc[improved]
-        G[improved] = gc[improved]
-        steps[stalled] *= 0.5
-        active &= ~((improved & (rel < _REL_TOL)) | (stalled & (steps < _MIN_STEP)))
-    floor = objective(np.zeros_like(Z), sig_rows)[0].reshape(count, block)[:, 0]
+        cand = _project_columns(Z[rows] + steps[rows, None] * G[rows], k, cols, radius)
+        fc, gc = objective(cand, sig_rows[rows], rows)
+        improved = fc > f[rows]
+        rel = (fc - f[rows]) / np.maximum(1.0, np.abs(fc))
+        fixed = ~improved & (cand == Z[rows]).all(axis=1)
+        moved = rows[improved]
+        Z[moved] = cand[improved]
+        f[moved] = fc[improved]
+        G[moved] = gc[improved]
+        steps[rows] *= np.where(improved, 2.0, 0.5)
+        underflow = ~improved & (steps[rows] < _MIN_STEP)
+        rows = rows[~((improved & (rel < _REL_TOL)) | underflow | fixed)]
+    floor = objective(np.zeros_like(Z), sig_rows, every)[0].reshape(count, block)[:, 0]
     return np.maximum(f.reshape(count, block).max(axis=1), floor)
 
 
 def _part1_rows(Z, X, sig_rows):
     # Row r holds one hidden unit's w; objective sig'softplus(X w) / n.
+    # Each product runs one row at a time, so a row gets the same bits in
+    # any block.
     n = X.shape[0]
-    A = Z @ X.T
+    A = (Z[:, None, :] @ X.T)[:, 0]
     value = np.einsum("rn,rn->r", softplus(A), sig_rows) / n
-    return value, (sigmoid(A) * sig_rows) @ X / n
+    return value, ((sigmoid(A) * sig_rows)[:, None, :] @ X)[:, 0] / n
 
 
 def _part1_family(
@@ -312,7 +321,7 @@ def _part1_family(
     X = data.samples
     best_w = _ascend(
         data, spec, batch, opt, 1, opt.restarts,
-        lambda Z, sig: _part1_rows(Z, X, sig),
+        lambda Z, sig, rows: _part1_rows(Z, X, sig),
     )
     values = m * (_linear_values(data, batch, spec.B_radius) + best_w)
     return EstimateReport(class_name, values, batch.seed, opt.restarts)
@@ -419,7 +428,7 @@ def estimate_R_T(
     U, J = np.tile(pair // m, count), np.tile(pair % m, count)
     values = _ascend(
         data, spec, batch, opt, m, pair.size,
-        lambda Z, sig: _t_rows(Z, X, sig, m, U, J),
+        lambda Z, sig, rows: _t_rows(Z, X, sig, m, U[rows], J[rows]),
     )
     return EstimateReport("T", values, batch.seed, opt.restarts)
 
@@ -435,7 +444,7 @@ def estimate_R_cd1_logZ(
     X = data.samples
     values = _ascend(
         data, spec, batch, opt, m, opt.restarts,
-        lambda Z, sig: _cd1_logz_rows(Z, X, sig, m),
+        lambda Z, sig, rows: _cd1_logz_rows(Z, X, sig, m),
     )
     return EstimateReport("CD1_LOGZ", values, batch.seed, opt.restarts)
 

@@ -375,9 +375,14 @@ class TestBatchIndependence:
         sig = rng.choice([-1.0, 1.0], size=(rows, n))
         pair = rng.integers(k * m, size=rows)
         u, j = pair // m, pair % m
+        # k = 10, n = 50 is a size where plain 2-D BLAS products round a
+        # block of rows differently from one row.
+        X10 = rng.integers(0, 2, size=(n, 10)).astype(float)
+        W10 = rng.uniform(-0.3, 0.3, size=(rows, 10))
         cases = [
             lambda r: rademacher._t_rows(Z[r], X, sig[r], m, u[r], j[r]),
             lambda r: rademacher._cd1_logz_rows(Z[r], X, sig[r], m),
+            lambda r: rademacher._part1_rows(W10[r], X10, sig[r]),
         ]
         for rows_fn in cases:
             value, grad = rows_fn(slice(None))
@@ -398,6 +403,16 @@ class TestBatchIndependence:
 class TestAscentDriver:
     """_ascend steps along the gradient stored with each row's current point."""
 
+    # An anisotropic concave quadratic -((z - c)**2 * a).sum() with its
+    # maximum 0 at c, inside the unit l1 ball: a gradient kept from the
+    # start no longer points at c, so a stale one stalls short.
+    A = np.array([0.5, 1.0, 2.0, 4.0])
+    C = np.array([0.3, -0.2, 0.1, 0.25])  # ||c||_1 = 0.85
+
+    @staticmethod
+    def quadratic(a, c):
+        return lambda Z, sig, rows: (-((Z - c) ** 2 * a).sum(axis=1), -2.0 * a * (Z - c))
+
     @staticmethod
     def ascend(rng, objective, iterations):
         # 16 sigma vectors of one row each; a row is one column of k = 4
@@ -409,15 +424,24 @@ class TestAscentDriver:
         return rademacher._ascend(data, spec, batch, opt, 1, 1, objective)
 
     def test_reaches_maximum_of_concave_quadratic(self, rng):
-        # The weights make the quadratic anisotropic: a gradient kept from
-        # the start then no longer points at c, so a stale one stalls short.
-        a = np.array([0.5, 1.0, 2.0, 4.0])
-        c = np.array([0.3, -0.2, 0.1, 0.25])  # ||c||_1 = 0.85, inside the ball
-        values = self.ascend(
-            rng,
-            lambda Z, sig: (-((Z - c) ** 2 * a).sum(axis=1), -2.0 * a * (Z - c)),
-            500,
-        )
+        values = self.ascend(rng, self.quadratic(self.A, self.C), 500)
+        assert np.all(values <= 0.0) and np.all(values >= -1e-6)
+
+    def test_step_grows_on_success(self, rng):
+        # A shallow quadratic whose maximum lies 0.56 to 1.09 from the
+        # starts.  With steps of at most 0.1, each step closes at most
+        # 2 * 0.01 * 0.1 = 0.2% of the distance along the flattest axis, so
+        # 100 iterations would leave most of it; doubling steps reach the
+        # maximum and retire every row before iteration 100.
+        calls = []
+        shallow = self.quadratic(0.02 * self.A, np.array([-0.3, 0.3, -0.2, 0.1]))
+
+        def counted(Z, sig, rows):
+            calls.append(Z.shape[0])
+            return shallow(Z, sig, rows)
+
+        values = self.ascend(rng, counted, 500)
+        assert len(calls) <= 1 + 100 + 1  # the start, the steps, the floor
         assert np.all(values <= 0.0) and np.all(values >= -1e-6)
 
     def test_rows_retire_when_the_step_underflows(self, rng):
@@ -426,7 +450,7 @@ class TestAscentDriver:
         # the cap of 200 iterations.
         calls = []
 
-        def flat(Z, sig):
+        def flat(Z, sig, rows):
             calls.append(Z.shape[0])
             return np.zeros(Z.shape[0]), np.ones_like(Z)
 
@@ -435,25 +459,45 @@ class TestAscentDriver:
         assert set(calls) == {16}
         assert np.array_equal(values, np.zeros(16))
 
-    def test_retired_rows_stay_in_the_block(self, rng):
-        # Rows 0-7 are flat and retire by step underflow after 44 halvings;
-        # rows 8-15 follow the quadratic above.  Every call still gets all
-        # 16 rows in one order, and a retired row keeps its value.
-        a = np.array([0.5, 1.0, 2.0, 4.0])
-        c = np.array([0.3, -0.2, 0.1, 0.25])
+    def test_rows_retire_at_a_fixed_point(self, rng):
+        # A linear objective c'z is largest at the vertex -e_1 of the ball.
+        # Once a row sits there, its projected candidate is that vertex
+        # again, bit for bit, and the row retires at once rather than
+        # halving its step down to _MIN_STEP as a flat row does.
+        c = np.array([0.1, -0.4, 0.2, 0.3])
+        calls = []
+
+        def linear(Z, sig, rows):
+            calls.append(Z.shape[0])
+            return Z @ c, np.tile(c, (Z.shape[0], 1))
+
+        values = self.ascend(rng, linear, 200)
+        assert np.array_equal(values, np.full(16, 0.4))
+        assert len(calls) <= 1 + 15 + 1
+
+    def test_retired_rows_leave_the_block(self, rng):
+        # Rows 0-7 are flat and retire after 44 halvings; rows 8-15 follow
+        # the quadratic above and outlast them.  The calls shrink as rows
+        # retire, each gets the sigma vectors of the rows it is passed,
+        # and a retired row keeps its value.  The floor, last, gets the
+        # whole block.
+        a, c = self.A, self.C
         flat = np.arange(16) < 8
         seen = []
 
-        def mixed(Z, sig):
-            seen.append(sig)
-            value = np.where(flat, 0.25, -((Z - c) ** 2 * a).sum(axis=1))
-            grad = np.where(flat[:, None], 1.0, -2.0 * a * (Z - c))
+        def mixed(Z, sig, rows):
+            seen.append((rows, sig))
+            value = np.where(flat[rows], 0.25, -((Z - c) ** 2 * a).sum(axis=1))
+            grad = np.where(flat[rows, None], 1.0, -2.0 * a * (Z - c))
             return value, grad
 
         values = self.ascend(rng, mixed, 500)
         sigma = rr.sample_sigma_batch(5, 16, 2).sigma_vectors
-        assert len(seen) > 1 + 44 + 1
-        assert all(np.array_equal(sig, sigma) for sig in seen)
+        sizes = [rows.size for rows, _ in seen]
+        assert sizes[0] == sizes[-1] == 16
+        assert all(x >= y for x, y in zip(sizes[:-1], sizes[1:-1]))
+        assert len(seen) > 1 + 44 + 1 and not flat[seen[-2][0]].any()
+        assert all(np.array_equal(sig, sigma[rows]) for rows, sig in seen)
         assert np.array_equal(values[flat], np.full(8, 0.25))
         assert np.all(values[~flat] <= 0.0) and np.all(values[~flat] >= -1e-6)
 
@@ -471,10 +515,11 @@ class TestAscentDriver:
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         rr.estimate_R_H(data, spec, rr.sample_sigma_batch(10, 6, 8), SMALL_OPT)
         floor = (6 * SMALL_OPT.restarts, True)
-        assert calls.count(floor) == 1
-        ascent = [c for c in calls if c != floor]
+        assert calls[-1] == floor and calls.count(floor) == 1
+        ascent = [size for size, _ in calls[:-1]]
         assert 1 <= len(ascent) <= SMALL_OPT.iterations + 1
-        assert ascent[0][0] == 6 * SMALL_OPT.restarts
+        assert ascent[0] == 6 * SMALL_OPT.restarts
+        assert ascent == sorted(ascent, reverse=True)
 
 
 class TestFiniteT:
