@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .rademacher import OptimizerSettings
+
 DATA_SOURCES = ("bernoulli-half", "ground-truth-rbm")
 
 
@@ -33,10 +35,13 @@ class ExperimentConfig:
     init_params_file: str | None = None
 
     def validate(self) -> None:
-        for name in ("k", "m", "n", "num_sigma", "restarts", "iterations",
-                     "audit_every"):
+        for name in ("k", "m", "n", "num_sigma", "audit_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        try:
+            OptimizerSettings(self.restarts, self.iterations)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for name in ("B_radius", "W_radius", "learning_rate"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and nonnegative")

@@ -10,10 +10,10 @@ That is the safe direction when estimates are compared against upper
 bounds.  One loop, _ascend, owns the feasible set of every optimized class
 (k x cols matrices with each column in the l1 ball of radius W): it draws
 the starts, steps, projects, and floors each sigma vector's value at the
-class's own objective at the zero matrix.  A row's step doubles when its
-move is accepted and halves when it is not, and the row retires on a small
-relative gain, on step underflow, or at a projected fixed point; each
-objective call gets only the rows still active.  An estimator passes only
+class's own objective at the zero matrix, one row per sigma vector.  A
+row's step doubles on an accepted move and halves otherwise; a row retires
+on a small relative gain, step underflow or a projected fixed point, and
+only active rows enter each objective call.  An estimator passes only
 its row function.  The part-1 family (H, LOGLIK_PART1) bounds b and each
 w_j by separate balls, so its bias term takes the closed-form sup of F and
 its m hidden units share one ascent over w (cols = 1); T and CD1_LOGZ
@@ -22,9 +22,9 @@ and one forward pass gives each row's value and gradient.
 
 Sigma index i draws its optimizer randomness from the stream (master seed,
 i), and all restarts and sigma vectors share one row-per-problem block.
-The projection and every row function give a row the same bits in any
-block, as each product runs one row at a time, so a sigma vector's value
-does not depend on which rows share its calls or on its batch.
+Each product over the sample runs one ascent row or, in FINITE_T, one
+sigma vector at a time, F's and G's integer sums are exact, and the
+projection treats each row alone: no value depends on its batch.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class OptimizerSettings:
     restarts: int = 8
     iterations: int = 500
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.restarts < 4:
             raise ValueError("restarts must be at least 4")
         if self.iterations < 200:
@@ -257,11 +257,10 @@ def _ascend(
     other step projects back to the same point.  A retired row leaves the
     calls and keeps its point and value, so each row ends at the best
     value it has seen.  Each sigma vector's max over its block is floored
-    at the objective at the zero matrix in its first row, which is always
-    feasible, so every returned value is attained by a feasible point.
+    at the objective at the zero matrix, on one row per sigma vector; that
+    point is feasible, so every returned value is attained by a feasible point.
     """
     _check_batch(data, batch)
-    opt.validate()
     if cols < 1:
         raise ValueError("m must be positive")
     count = batch.sigma_vectors.shape[0]
@@ -291,7 +290,8 @@ def _ascend(
         steps[rows] *= np.where(improved, 2.0, 0.5)
         underflow = ~improved & (steps[rows] < _MIN_STEP)
         rows = rows[~((improved & (rel < _REL_TOL)) | underflow | fixed)]
-    floor = objective(np.zeros_like(Z), sig_rows, every)[0].reshape(count, block)[:, 0]
+    firsts = every[::block]
+    floor = objective(np.zeros((count, Z.shape[1])), sig_rows[firsts], firsts)[0]
     return np.maximum(f.reshape(count, block).max(axis=1), floor)
 
 
@@ -461,7 +461,7 @@ def estimate_R_finite_T(
         if len(W) != data.k:
             raise ValueError(f"a member W has k={len(W)} rows, data has k={data.k}")
     table = np.stack([t_value(W, u, j, data.samples) for W, u, j in members])
-    values = (batch.sigma_vectors @ table.T).max(axis=1) / data.n
+    values = (table @ batch.sigma_vectors[:, :, None])[:, :, 0].max(axis=1) / data.n
     return EstimateReport("FINITE_T", values, batch.seed)
 
 

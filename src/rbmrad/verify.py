@@ -182,7 +182,9 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
     """The ascent gradients against central differences of their objectives.
 
     Covers the row functions themselves: _part1_rows, _cd1_logz_rows and
-    _t_rows at every pair (u, j).
+    _t_rows at every pair (u, j).  On the same instances it also checks the
+    values of _part1_rows, against sig'softplus(X w) / n for each w, and of
+    _t_rows, against sig't_value / n at every pair.
     """
     rng = np.random.default_rng([seed, 5])
     checks = failures = 0
@@ -192,13 +194,19 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
         m = int(rng.integers(1, 4))
         X, sig, z = ascent_instance(rng, n, k, m)
         # the w block doubles as one flattened k x m matrix W
-        row = (z[k:].reshape(1, -1), X, sig[None], m)
+        W, w = z[k:].reshape(k, m), z[k:].reshape(m, k)
+        row = (W.reshape(1, -1), X, sig[None], m)
         gaps = [part1_gradient_gap(X, sig, m, z),
                 rows_gradient_gap(rademacher._cd1_logz_rows, *row)]
+        part1 = rademacher._part1_rows(w, X, np.tile(sig, (m, 1)))[0]
+        value_gaps = [np.abs(part1 - sig @ rbm.softplus(X @ w.T) / n).max()]
         for u, j in np.ndindex(k, m):
             gaps.append(rows_gradient_gap(rademacher._t_rows, *row, [u], [j]))
-        checks += len(gaps)
+            t = rademacher._t_rows(*row, [u], [j])[0][0]
+            value_gaps.append(abs(t - sig @ rademacher.t_value(W, u, j, X) / n))
+        checks += len(gaps) + len(value_gaps)
         failures += sum(gap > 1e-4 for gap in gaps)
+        failures += sum(gap > 1e-12 for gap in value_gaps)
     return SuiteResult("gradient", checks, failures)
 
 

@@ -97,6 +97,16 @@ class TestGenData:
         cfg.write_text("k = 0\n")
         assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
+    def test_too_few_restarts_exits_2(self, tmp_path, capsys):
+        # The ascent needs at least 4 restarts, so every command rejects
+        # fewer, even one that runs no ascent.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("restarts = 2\n")
+        out = tmp_path / "out"
+        assert run("gen-data", "--config", str(cfg), "--out", str(out)) == 2
+        assert "restarts must be at least 4" in capsys.readouterr().err
+        assert not (out / "dataset.txt").exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kk = 3\n")
@@ -454,7 +464,7 @@ class TestVerify:
             "partition": "25",
             "lipschitz": "100000",
             "projection": "1100",
-            "gradient": "161",
+            "gradient": "297",
             "holder": "200",
             "meanfield": "201",
         }
@@ -522,6 +532,32 @@ class TestVerify:
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
         assert "failed suites: meanfield" in captured
+
+    def test_doubled_t_rows_caught(self, monkeypatch, capsys):
+        # Twice the value with twice its gradient: the gradient still
+        # matches differences of the value, so only the value check sees it.
+        exact = rad_mod._t_rows
+
+        def doubled(*args):
+            value, grad = exact(*args)
+            return 2.0 * value, 2.0 * grad
+
+        monkeypatch.setattr(rad_mod, "_t_rows", doubled)
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: gradient" in captured
+
+    def test_shifted_part1_value_caught(self, monkeypatch, capsys):
+        exact = rad_mod._part1_rows
+
+        def shifted(*args):
+            value, grad = exact(*args)
+            return value + 0.1, grad
+
+        monkeypatch.setattr(rad_mod, "_part1_rows", shifted)
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: gradient" in captured
 
     def test_projection_of_wrong_columns_caught(self, monkeypatch, capsys):
         # Projects each run of k consecutive entries, which for m > 1 mixes

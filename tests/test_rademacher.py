@@ -162,18 +162,12 @@ class TestOptimizedClasses:
         b = rr.estimate_R_H(data, spec, rr.sample_sigma_batch(10, 6, 8), SMALL_OPT)
         assert a == b
 
-    def test_optimizer_settings_enforced(self, rng):
-        data = bernoulli_data(rng, 6, 2)
-        batch = rr.sample_sigma_batch(6, 3, 0)
-        spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
-        with pytest.raises(ValueError):
-            rr.estimate_R_H(
-                data, spec, batch, rr.OptimizerSettings(restarts=2)
-            )
-        with pytest.raises(ValueError):
-            rr.estimate_R_H(
-                data, spec, batch, rr.OptimizerSettings(iterations=100)
-            )
+    def test_optimizer_settings_enforced(self):
+        # Checked at construction, so no estimator gets too few of either.
+        with pytest.raises(ValueError, match="restarts must be at least 4"):
+            rr.OptimizerSettings(restarts=2)
+        with pytest.raises(ValueError, match="iterations must be at least 200"):
+            rr.OptimizerSettings(iterations=100)
 
 
 class TestFeasibleFloor:
@@ -348,6 +342,8 @@ class TestBatchIndependence:
     """A sigma vector's value, and a row's output, do not depend on its batch."""
 
     ESTIMATES = {
+        "F": rr.estimate_R_F,
+        "G": rr.estimate_R_G,
         "H": lambda data, spec, batch: rr.estimate_R_H(data, spec, batch, SMALL_OPT),
         "LOGLIK_PART1": lambda data, spec, batch: rr.estimate_R_loglik_part1(
             data, spec, 3, batch, SMALL_OPT
@@ -356,7 +352,13 @@ class TestBatchIndependence:
         "CD1_LOGZ": lambda data, spec, batch: rr.estimate_R_cd1_logZ(
             data, spec, 2, batch, SMALL_OPT
         ),
+        "FINITE_T": lambda data, spec, batch: rr.estimate_R_finite_T(
+            data, rr.generate_members(4, 2, 256, 1.0, 3), batch
+        ),
     }
+
+    def test_every_class_covered(self):
+        assert set(self.ESTIMATES) == set(rademacher.CLASS_NAMES)
 
     @pytest.mark.parametrize("class_name", ESTIMATES)
     def test_first_value_same_alone(self, rng, class_name):
@@ -367,6 +369,18 @@ class TestBatchIndependence:
         alone = rr.RademacherBatch(batch.sigma_vectors[:1], batch.seed)
         first = estimate(data, spec, batch).per_sigma_values[0]
         assert estimate(data, spec, alone).per_sigma_values == (first,)
+
+    def test_finite_T_values_same_alone(self, rng):
+        # Criterion 9's sizes: k = 6, n = 50 and 256 members.
+        data = bernoulli_data(rng, 50, 6)
+        members = rr.generate_members(6, 3, 256, 1.0, 109)
+        batch = rr.sample_sigma_batch(50, 300, 109)
+        values = rr.estimate_R_finite_T(data, members, batch).per_sigma_values
+        for i, sig in enumerate(batch.sigma_vectors):
+            alone = rr.RademacherBatch(sig[None], batch.seed)
+            assert rr.estimate_R_finite_T(data, members, alone).per_sigma_values == (
+                values[i],
+            )
 
     def test_row_functions_blockwise_equal_rowwise(self, rng):
         k, m, n, rows = 6, 3, 50, 40
@@ -502,7 +516,7 @@ class TestAscentDriver:
         assert np.all(values[~flat] <= 0.0) and np.all(values[~flat] >= -1e-6)
 
     def test_one_objective_call_per_iteration(self, rng, monkeypatch):
-        # Plus one call for the floor: an all-zero Z over the whole block.
+        # Plus one call for the floor: an all-zero Z, one row per sigma vector.
         calls = []
         rows = rademacher._part1_rows
 
@@ -514,7 +528,7 @@ class TestAscentDriver:
         data = bernoulli_data(rng, 10, 3)
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         rr.estimate_R_H(data, spec, rr.sample_sigma_batch(10, 6, 8), SMALL_OPT)
-        floor = (6 * SMALL_OPT.restarts, True)
+        floor = (6, True)
         assert calls[-1] == floor and calls.count(floor) == 1
         ascent = [size for size, _ in calls[:-1]]
         assert 1 <= len(ascent) <= SMALL_OPT.iterations + 1
