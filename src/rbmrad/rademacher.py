@@ -10,15 +10,17 @@ That is the safe direction when estimates are compared against upper
 bounds.  One loop, _ascend, owns the feasible set of every optimized class
 (k x cols matrices with each column in the l1 ball of radius W): it draws
 the starts, steps, projects, and floors each sigma vector's value at the
-class's own objective at the zero matrix, one row per sigma vector.  A
-row's step doubles on an accepted move and halves otherwise; a row retires
-on a small relative gain, step underflow or a projected fixed point, and
-only active rows enter each objective call.  An estimator passes only
-its row function.  The part-1 family (H, LOGLIK_PART1) bounds b and each
-w_j by separate balls, so its bias term takes the closed-form sup of F and
-its m hidden units share one ascent over w (cols = 1); T and CD1_LOGZ
-ascend over the whole W (cols = m).  All four follow analytic gradients,
-and one forward pass gives each row's value and gradient.
+class's own objective at the zero matrix, one row per sigma vector.  An
+accepted move sets the row's step to the Barzilai-Borwein length of that
+move, or doubles it where the objective is not concave along the move; a
+rejected move halves it.  A row retires on a small relative gain, step
+underflow or a projected fixed point, and only active rows enter each
+objective call.  An estimator passes only its row function.  The part-1
+family (H, LOGLIK_PART1) bounds b and each w_j by separate balls, so its
+bias term takes the closed-form sup of F and its m hidden units share one
+ascent over w (cols = 1); T and CD1_LOGZ ascend over the whole W
+(cols = m).  All four follow analytic gradients, and one forward pass
+gives each row's value and gradient.
 
 Sigma index i draws its optimizer randomness from the stream (master seed,
 i), and all restarts and sigma vectors share one row-per-problem block.
@@ -249,16 +251,21 @@ def _ascend(
     order, with each row's sigma vector, and returns each row's value and
     gradient.  Each iteration makes one objective call on the active rows
     only.  An active row moves only when its step improves it, keeping the
-    candidate's gradient, and then doubles its step; otherwise it stays
-    and halves its step.  It retires once an accepted move gains
-    relatively less than _REL_TOL, once its step underflows _MIN_STEP, or
-    once a rejected candidate equals its point bit for bit: then the
-    gradient lies in the normal cone of the feasible set there, so every
-    other step projects back to the same point.  A retired row leaves the
-    calls and keeps its point and value, so each row ends at the best
-    value it has seen.  Each sigma vector's max over its block is floored
-    at the objective at the zero matrix, on one row per sigma vector; that
-    point is feasible, so every returned value is attained by a feasible point.
+    candidate's gradient; otherwise it stays and halves its step.  After an
+    accepted move d = cand - Z, with gradient change y = gc - G, the next
+    step is the projected Barzilai-Borwein length |d|^2 / (-d.y), the
+    inverse of the objective's downward curvature along the move; where
+    -d.y is not positive or the ratio is not finite, the step doubles.
+    Both products run one row at a time.  A row retires once an accepted
+    move gains relatively less than _REL_TOL, once its step underflows
+    _MIN_STEP, or once a rejected candidate equals its point bit for bit:
+    then the gradient lies in the normal cone of the feasible set there,
+    so every other step projects back to the same point.  A retired row
+    leaves the calls and keeps its point and value, so each row ends at the
+    best value it has seen.  Each sigma vector's max over its block is
+    floored at the objective at the zero matrix, on one row per sigma
+    vector; that point is feasible, so every returned value is attained by
+    a feasible point.
     """
     _check_batch(data, batch)
     if cols < 1:
@@ -282,12 +289,17 @@ def _ascend(
         fc, gc = objective(cand, sig_rows[rows], rows)
         improved = fc > f[rows]
         rel = (fc - f[rows]) / np.maximum(1.0, np.abs(fc))
-        fixed = ~improved & (cand == Z[rows]).all(axis=1)
+        d = cand - Z[rows]
+        fixed = ~improved & ~d.any(axis=1)
+        curv = -np.einsum("ri,ri->r", d, gc - G[rows])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bb = np.einsum("ri,ri->r", d, d) / curv
+        grown = np.where((curv > 0.0) & np.isfinite(bb), bb, 2.0 * steps[rows])
         moved = rows[improved]
         Z[moved] = cand[improved]
         f[moved] = fc[improved]
         G[moved] = gc[improved]
-        steps[rows] *= np.where(improved, 2.0, 0.5)
+        steps[rows] = np.where(improved, grown, 0.5 * steps[rows])
         underflow = ~improved & (steps[rows] < _MIN_STEP)
         rows = rows[~((improved & (rel < _REL_TOL)) | underflow | fixed)]
     firsts = every[::block]

@@ -490,19 +490,21 @@ class TestAscentDriver:
         assert len(calls) <= 1 + 15 + 1
 
     def test_retired_rows_leave_the_block(self, rng):
-        # Rows 0-7 are flat and retire after 44 halvings; rows 8-15 follow
-        # the quadratic above and outlast them.  The calls shrink as rows
-        # retire, each gets the sigma vectors of the rows it is passed,
-        # and a retired row keeps its value.  The floor, last, gets the
-        # whole block.
-        a, c = self.A, self.C
+        # Rows 0-7 are flat and retire after 44 halvings.  Rows 8-15 follow
+        # a steep quartic with its maximum at c: its curvature vanishes
+        # there, so even Barzilai-Borwein steps close in only linearly, and
+        # at this scale the last row gains less than _REL_TOL only on step
+        # 58.  The calls shrink as rows retire, each gets the sigma vectors
+        # of the rows it is passed, and a retired row keeps its value.  The
+        # floor, last, gets the whole block.
+        a, c = 1e8 * self.A, self.C
         flat = np.arange(16) < 8
         seen = []
 
         def mixed(Z, sig, rows):
             seen.append((rows, sig))
-            value = np.where(flat[rows], 0.25, -((Z - c) ** 2 * a).sum(axis=1))
-            grad = np.where(flat[rows, None], 1.0, -2.0 * a * (Z - c))
+            value = np.where(flat[rows], 0.25, -((Z - c) ** 4 * a).sum(axis=1))
+            grad = np.where(flat[rows, None], 1.0, -4.0 * a * (Z - c) ** 3)
             return value, grad
 
         values = self.ascend(rng, mixed, 500)
@@ -534,6 +536,24 @@ class TestAscentDriver:
         assert 1 <= len(ascent) <= SMALL_OPT.iterations + 1
         assert ascent[0] == 6 * SMALL_OPT.restarts
         assert ascent == sorted(ascent, reverse=True)
+
+    def test_H_ascent_converges_in_few_calls(self, monkeypatch):
+        # Criterion 6's data and settings on 60 sigma vectors.  The loop
+        # runs until its slowest row retires: Barzilai-Borwein steps need 37
+        # calls here, a step that only doubles on success 221.
+        calls = []
+        rows = rademacher._part1_rows
+
+        def counted(*args):
+            calls.append(None)
+            return rows(*args)
+
+        monkeypatch.setattr(rademacher, "_part1_rows", counted)
+        data = bernoulli_data(np.random.default_rng(106), 50, 10)
+        spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
+        opt = rr.OptimizerSettings(restarts=8, iterations=500)
+        rr.estimate_R_H(data, spec, rr.sample_sigma_batch(50, 60, 106), opt)
+        assert len(calls) < 100
 
 
 class TestFiniteT:
