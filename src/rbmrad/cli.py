@@ -2,12 +2,14 @@
 
 Subcommands: gen-data, bounds, estimate, compare, train, verify.  Exit
 codes: 0 success, 2 configuration error, 3 verification-suite failure,
-4 I/O error.
+4 I/O error.  The argument parser is built once per process, so repeated
+in-process main() calls share it; each parse returns a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -327,6 +329,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbmrad",

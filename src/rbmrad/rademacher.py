@@ -10,11 +10,8 @@ That is the safe direction when estimates are compared against upper
 bounds.  One loop, _ascend, owns the feasible set of every optimized class
 (k x cols matrices with each column in the l1 ball of radius W): it draws
 the starts, steps, projects, and floors each sigma vector's value at the
-class's own objective at the zero matrix, one row per sigma vector.  An
-accepted move sets the row's step to the Barzilai-Borwein length of that
-move, or doubles it where the objective is not concave along the move; a
-rejected move halves it.  A row retires on a small relative gain, step
-underflow or a projected fixed point, and only active rows enter each
+class's own objective at the zero matrix, one row per sigma vector.  Its
+steps take Barzilai-Borwein lengths, and only active rows enter each
 objective call.  An estimator passes only its row function.  The part-1
 family (H, LOGLIK_PART1) bounds b and each w_j by separate balls, so its
 bias term takes the closed-form sup of F and its m hidden units share one
@@ -162,19 +159,20 @@ def sample_sigma_batch(n: int, count: int, seed: int) -> RademacherBatch:
 
 
 def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
-    """Row-wise Euclidean projection onto the l1 ball of given radius."""
+    """Row-wise Euclidean projection onto the l1 ball of given radius.
+
+    Magnitudes shrink by theta = max_j (css_j - radius) / j, css_j the sum
+    of the j largest; the max falls at the projection's support size.  A
+    row whose magnitudes sum to at most the radius comes back unchanged.
+    """
     if radius == 0.0:
         return np.zeros_like(V)
     A = np.abs(V)
-    U = np.sort(A, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1)
-    ranks = np.arange(1, V.shape[1] + 1)
-    # rho = largest rank with sorted magnitude above the running threshold
-    rho = np.count_nonzero(U * ranks > css - radius, axis=1)
-    theta = (css[np.arange(len(rho)), rho - 1] - radius) / rho
-    # rows already inside the ball shrink by nothing: sign(v) |v| is v
+    css = np.cumsum(np.sort(A, axis=1)[:, ::-1], axis=1)
+    theta = ((css - radius) / np.arange(1, V.shape[1] + 1)).max(axis=1)
     theta[A.sum(axis=1) <= radius] = 0.0
-    return np.sign(V) * np.maximum(A - theta[:, None], 0.0)
+    out = np.maximum(A - theta[:, None], 0.0)
+    return np.copysign(out, V, out=out)
 
 
 def _project_columns(Z: np.ndarray, k: int, m: int, radius: float) -> np.ndarray:
@@ -243,29 +241,25 @@ def _ascend(
 ) -> np.ndarray:
     """Multi-restart ascent over the feasible set of every optimized class.
 
-    A row is a flattened k x cols matrix, and each of its columns lies in
-    the l1 ball of radius spec.W_radius.  Sigma vector i owns `block`
-    consecutive rows whose starts come from the stream (seed, i), each
-    coordinate uniform in [-W_radius, W_radius].  objective(Z, sig_rows,
-    rows) takes the points of the block rows listed in `rows`, in block
-    order, with each row's sigma vector, and returns each row's value and
-    gradient.  Each iteration makes one objective call on the active rows
-    only.  An active row moves only when its step improves it, keeping the
-    candidate's gradient; otherwise it stays and halves its step.  After an
-    accepted move d = cand - Z, with gradient change y = gc - G, the next
-    step is the projected Barzilai-Borwein length |d|^2 / (-d.y), the
-    inverse of the objective's downward curvature along the move; where
-    -d.y is not positive or the ratio is not finite, the step doubles.
-    Both products run one row at a time.  A row retires once an accepted
+    A row is a flattened k x cols matrix whose columns lie in the l1 ball
+    of radius spec.W_radius.  Sigma vector i owns `block` consecutive rows,
+    started uniform in [-W_radius, W_radius] from the stream (seed, i).
+    objective(Z, sig_rows, rows) returns the value and gradient of each
+    block row listed in `rows`, given in block order with its point and
+    sigma vector.  The loop keeps the active rows' points, values,
+    gradients, steps and sigma vectors compacted, and calls the objective
+    once per iteration on them.  A row moves only when its step improves
+    it; a rejected move halves the step.  After an accepted move d, with
+    gradient change y, the step is the projected Barzilai-Borwein length
+    |d|^2 / (-d.y), or doubles where -d.y is not positive or the ratio is
+    not finite; both products run one row at a time.  A row retires once a
     move gains relatively less than _REL_TOL, once its step underflows
-    _MIN_STEP, or once a rejected candidate equals its point bit for bit:
-    then the gradient lies in the normal cone of the feasible set there,
-    so every other step projects back to the same point.  A retired row
-    leaves the calls and keeps its point and value, so each row ends at the
-    best value it has seen.  Each sigma vector's max over its block is
-    floored at the objective at the zero matrix, on one row per sigma
-    vector; that point is feasible, so every returned value is attained by
-    a feasible point.
+    _MIN_STEP, or once a rejected candidate equals its point bit for bit (a
+    projected fixed point, to which every other step projects back).  Its
+    value, the best it has seen, is written out when it retires, or after
+    the loop if it reaches the cap.  Each sigma vector's max over its block
+    is floored at the objective at the zero matrix, on one row per sigma
+    vector: every returned value is attained by a feasible point.
     """
     _check_batch(data, batch)
     if cols < 1:
@@ -280,31 +274,33 @@ def _ascend(
     Z = _project_columns(np.concatenate(starts, axis=0), k, cols, radius)
     every = np.arange(Z.shape[0])
     f, G = objective(Z, sig_rows, every)
-    steps = np.full(Z.shape[0], _STEP_SIZE)
-    rows = every
+    best = np.empty(every.size)
+    rows, sig, steps = every, sig_rows, np.full(every.size, _STEP_SIZE)
     for _ in range(opt.iterations):
         if rows.size == 0:
             break
-        cand = _project_columns(Z[rows] + steps[rows, None] * G[rows], k, cols, radius)
-        fc, gc = objective(cand, sig_rows[rows], rows)
-        improved = fc > f[rows]
-        rel = (fc - f[rows]) / np.maximum(1.0, np.abs(fc))
-        d = cand - Z[rows]
-        fixed = ~improved & ~d.any(axis=1)
-        curv = -np.einsum("ri,ri->r", d, gc - G[rows])
+        cand = _project_columns(Z + steps[:, None] * G, k, cols, radius)
+        fc, gc = objective(cand, sig, rows)
+        improved = fc > f
+        rel = (fc - f) / np.maximum(1.0, np.abs(fc))
+        d = cand - Z
+        curv = np.einsum("ri,ri->r", d, G - gc)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             bb = np.einsum("ri,ri->r", d, d) / curv
-        grown = np.where((curv > 0.0) & np.isfinite(bb), bb, 2.0 * steps[rows])
-        moved = rows[improved]
-        Z[moved] = cand[improved]
-        f[moved] = fc[improved]
-        G[moved] = gc[improved]
-        steps[rows] = np.where(improved, grown, 0.5 * steps[rows])
-        underflow = ~improved & (steps[rows] < _MIN_STEP)
-        rows = rows[~((improved & (rel < _REL_TOL)) | underflow | fixed)]
-    firsts = every[::block]
-    floor = objective(np.zeros((count, Z.shape[1])), sig_rows[firsts], firsts)[0]
-    return np.maximum(f.reshape(count, block).max(axis=1), floor)
+        grown = np.where((curv > 0.0) & np.isfinite(bb), bb, 2.0 * steps)
+        steps = np.where(improved, grown, 0.5 * steps)
+        Z = np.where(improved[:, None], cand, Z)
+        f = np.where(improved, fc, f)
+        G = np.where(improved[:, None], gc, G)
+        done = np.where(improved, rel < _REL_TOL, (steps < _MIN_STEP) | ~d.any(axis=1))
+        if done.any():
+            best[rows[done]] = f[done]
+            live = ~done
+            rows, sig, steps = rows[live], sig[live], steps[live]
+            Z, f, G = Z[live], f[live], G[live]
+    best[rows] = f
+    floor = objective(np.zeros((count, k * cols)), sig_rows[::block], every[::block])[0]
+    return np.maximum(best.reshape(count, block).max(axis=1), floor)
 
 
 def _part1_rows(Z, X, sig_rows):

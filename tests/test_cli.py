@@ -259,6 +259,14 @@ class TestEstimate:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["estimate", "Q"])
 
+    def test_parser_built_once_keeps_no_state(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first = parser.parse_args(["estimate", "H", "--seed", "3"])
+        assert (first.class_name, first.seed) == ("H", 3)
+        second = parser.parse_args(["compare"])
+        assert second.seed is None and not hasattr(second, "class_name")
+
 
 class TestCompare:
     def test_missing_bounds_exits_4(self, tmp_path):

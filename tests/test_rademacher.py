@@ -70,6 +70,51 @@ class TestProjectL1:
         p = rr.project_l1(np.array(values), radius)
         assert np.abs(p).sum() <= radius + 1e-10
 
+    @staticmethod
+    def bisection_theta(v, radius):
+        # The threshold of a row outside the ball: the root of the
+        # decreasing sum(max(|v| - theta, 0)) - radius on [0, max |v|].
+        lo, hi = 0.0, np.abs(v).max()
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if np.maximum(np.abs(v) - mid, 0.0).sum() > radius:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def test_rows_match_a_bisection_oracle(self, rng):
+        # Random blocks at k = 1..12 mix rows well outside the ball, rows
+        # inside it, rows scaled onto its sphere, tied magnitudes and zeros.
+        outside = 0
+        for k in range(1, 13):
+            for radius in (0.3, 1.0, 7.5):
+                V = rng.uniform(-3.0, 3.0, size=(24, k)) * rng.uniform(0.05, 4.0, (24, 1))
+                V[0:4] *= radius / np.abs(V[0:4]).sum(axis=1, keepdims=True)
+                V[4:8] = np.round(V[4:8])  # ties, and zeros
+                V[8:12, : k // 2] = 0.0
+                V[12:16] = rng.choice([-1.0, 1.0], size=(4, k)) * rng.uniform(0.1, 2.0, (4, 1))
+                P = rademacher._project_l1_rows(V, radius)
+                for v, p in zip(V, P):
+                    scale = max(radius, np.abs(v).max())
+                    if np.abs(v).sum() <= radius * (1.0 + 1e-12):
+                        assert np.allclose(p, v, rtol=0.0, atol=1e-12 * scale)
+                        continue
+                    outside += 1
+                    theta = self.bisection_theta(v, radius)
+                    ref = np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+                    assert np.allclose(p, ref, rtol=0.0, atol=1e-12 * scale)
+                    # KKT: the row lands on the sphere, every entry below
+                    # theta maps to 0, and the rest shrink by theta.
+                    assert abs(np.abs(p).sum() - radius) <= 1e-12 * scale * k
+                    below = np.abs(v) < theta * (1.0 - 1e-12)
+                    assert np.all(p[below] == 0.0)
+                    above = np.abs(v) > theta * (1.0 + 1e-12)
+                    assert np.allclose(np.abs(v[above]) - np.abs(p[above]), theta,
+                                       rtol=0.0, atol=1e-12 * scale)
+                    assert np.all(np.sign(p[above]) == np.sign(v[above]))
+        assert outside > 400
+
 
 class TestLinearClasses:
     def test_zero_radius_F(self, rng):
@@ -516,6 +561,41 @@ class TestAscentDriver:
         assert all(np.array_equal(sig, sigma[rows]) for rows, sig in seen)
         assert np.array_equal(values[flat], np.full(8, 0.25))
         assert np.all(values[~flat] <= 0.0) and np.all(values[~flat] >= -1e-6)
+
+    def test_rows_at_the_cap_report_their_last_accepted_value(self, rng):
+        # 4 sigma vectors with blocks of 4 rows.  Rows 1 and 2 of each block
+        # gain 0.1% on every call, whatever their point, so they are still
+        # active after the 200th step; rows 0 and 3 are flat and retire
+        # early.  Replaying the recorded calls with the acceptance rule
+        # fc > f gives each row's last accepted value, and each returned
+        # value is the max over its block, floored at the zero-matrix call.
+        drifting = np.isin(np.arange(16) % 4, (1, 2))
+        base = np.tile([0.1, 1.0, 0.9, 0.5], 4)
+        base[3] = 1.5  # block 0's max comes from a retired row
+        seen = np.zeros(16)
+        calls = []
+
+        def objective(Z, sig, rows):
+            value = np.where(drifting[rows], base[rows] * (1.0 + seen[rows] / 1000), base[rows])
+            seen[rows] += 1
+            calls.append((rows.copy(), value))
+            return value, np.where(drifting[rows, None], 0.0, np.ones_like(Z))
+
+        data = bernoulli_data(rng, 5, 4)
+        spec = rr.ConstraintSpec(B_radius=0.0, W_radius=1.0)
+        opt = rr.OptimizerSettings(restarts=4, iterations=200)
+        batch = rr.sample_sigma_batch(5, 4, 2)
+        values = rademacher._ascend(data, spec, batch, opt, 1, 4, objective)
+        assert len(calls) == 1 + 200 + 1
+        assert np.array_equal(calls[-2][0], np.flatnonzero(drifting))
+        accepted = calls[0][1].copy()
+        for rows, value in calls[1:-1]:
+            accepted[rows] = np.maximum(accepted[rows], value)
+        floor_rows, floor = calls[-1]
+        assert np.array_equal(floor_rows, [0, 4, 8, 12])
+        assert np.array_equal(values, np.maximum(accepted.reshape(4, 4).max(axis=1), floor))
+        assert values[0] == 1.5
+        assert np.array_equal(values[1:], np.full(3, 1.0 * (1.0 + 200 / 1000)))
 
     def test_one_objective_call_per_iteration(self, rng, monkeypatch):
         # Plus one call for the floor: an all-zero Z, one row per sigma vector.
