@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .rbm import (
     BinaryDataset,
@@ -82,14 +81,30 @@ def _check_learning_rate(learning_rate) -> None:
 def _cd1_update(W: np.ndarray, X: np.ndarray, learning_rate: float) -> np.ndarray:
     """The CD-1 weight update on raw arrays the caller has already validated.
 
-    Uses scipy's expit, not rbm.sigmoid: on minibatches of at most
-    BATCH_CAP rows the per-call overhead dominates, and expit's is lower.
+    Equals W + learning_rate * ((X'H - X_tilde'H_neg) / B) built from
+    rbm.sigmoid and @, bit for bit: the products use ndarray.dot, cheaper
+    than @ on minibatches of at most BATCH_CAP rows, and each logistic runs
+    sigmoid's exp, + 1 and reciprocal in place on a product with -W.  The
+    caller holds np.errstate(over="ignore"): exp overflows, to a logistic
+    of exactly 0, where a product with -W exceeds 709.
     """
-    H = expit(X @ W)
-    X_tilde = expit(H @ W.T)
-    H_neg = expit(X_tilde @ W)
-    delta = (X.T @ H - X_tilde.T @ H_neg) / X.shape[0]
-    return W + learning_rate * delta
+    neg_W = -W
+    H = _logistic_in_place(X.dot(neg_W))
+    X_tilde = _logistic_in_place(H.dot(neg_W.T))
+    H_neg = _logistic_in_place(X_tilde.dot(neg_W))
+    delta = X.T.dot(H)
+    delta -= X_tilde.T.dot(H_neg)
+    delta /= X.shape[0]
+    delta *= learning_rate
+    delta += W
+    return delta
+
+
+def _logistic_in_place(e: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(e)) is sigmoid(-e), written into e
+    np.exp(e, out=e)
+    e += 1.0
+    return np.reciprocal(e, out=e)
 
 
 def cd1_gradient_step(
@@ -107,7 +122,8 @@ def cd1_gradient_step(
     _check_learning_rate(learning_rate)
     if minibatch.k != params.k:
         raise ValueError("minibatch width does not match params")
-    W = _cd1_update(params.W, minibatch.samples, learning_rate)
+    with np.errstate(over="ignore"):
+        W = _cd1_update(params.W, minibatch.samples, learning_rate)
     return RbmParams(W=W, b=params.b, c=params.c)
 
 
@@ -160,8 +176,9 @@ def train_cd1(
     for epoch in range(1, epochs + 1):
         rng = np.random.default_rng([seed, epoch])
         shuffled = data.samples[rng.permutation(data.n)]
-        for start in range(0, data.n, batch_size):
-            W = _cd1_update(W, shuffled[start:start + batch_size], learning_rate)
+        with np.errstate(over="ignore"):
+            for start in range(0, data.n, batch_size):
+                W = _cd1_update(W, shuffled[start:start + batch_size], learning_rate)
         if epoch % audit_every == 0 or epoch == epochs:
             trace.append(audit(epoch, W))
     return trace

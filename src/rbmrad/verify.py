@@ -229,7 +229,8 @@ def suite_holder(seed: int = 0) -> SuiteResult:
 
 
 def suite_meanfield(seed: int = 0) -> SuiteResult:
-    """Mean-field ranges, the CD-1 ln Z composition and CD1_LOGZ's row value."""
+    """Mean-field ranges, the CD-1 ln Z composition, CD1_LOGZ's row value and
+    the CD-1 weight update."""
     gaps, outside = meanfield_gaps(np.random.default_rng([seed, 7]), 50, 7)
     checks = gaps.size + outside.size
     failures = int((gaps > 1e-12).sum() + outside.sum())
@@ -243,6 +244,23 @@ def suite_meanfield(seed: int = 0) -> SuiteResult:
         direct = sig @ [cd1.cd1_log_partition(params, xi) for xi in X] / 5
         checks += 1
         failures += abs(value - direct) > 1e-12
+    # the CD-1 update against one assembled row by row from the mean-field
+    # passes; the negative hidden pass is the transposed machine's visible pass
+    rng = np.random.default_rng([seed, 9])
+    for _ in range(50):
+        params = _random_machine(rng, 7)
+        flipped = rbm.RbmParams(W=params.W.T, b=params.c, c=params.b)
+        X = rng.integers(0, 2, size=(int(rng.integers(1, 9)), params.k)).astype(float)
+        rate = float(rng.uniform(0.0, 1.0))
+        delta = np.zeros_like(params.W)
+        for x in X:
+            h = cd1.meanfield_hidden(params, x)
+            x_tilde = cd1.meanfield_visible(params, h)
+            h_neg = cd1.meanfield_visible(flipped, x_tilde)
+            delta += np.outer(x, h) - np.outer(x_tilde, h_neg)
+        update = cd1._cd1_update(params.W, X, rate)
+        checks += 1
+        failures += np.abs(update - (params.W + rate * delta / len(X))).max() > 1e-12
     zero = rbm.RbmParams(W=np.zeros((3, 2)), b=np.zeros(3), c=np.zeros(2))
     checks += 1
     failures += abs(

@@ -1,13 +1,14 @@
 """Mean-field passes, the CD-1 log-partition, and the training loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import rbmrad as rr
 from conftest import random_params
-from rbmrad import cd1
+from rbmrad import cd1, rbm
 
 LN2 = math.log(2.0)
 
@@ -234,3 +235,47 @@ class TestTrainCd1:
         data = rr.sample_dataset(p, 10, 1)
         with pytest.raises(ValueError, match="learning_rate"):
             rr.train_cd1(p, data, 1, rate, 7)
+
+
+def plain_update(W, X, learning_rate):
+    """The CD-1 update written out with rbm.sigmoid and @."""
+    H = rbm.sigmoid(X @ W)
+    X_tilde = rbm.sigmoid(H @ W.T)
+    H_neg = rbm.sigmoid(X_tilde @ W)
+    return W + learning_rate * ((X.T @ H - X_tilde.T @ H_neg) / X.shape[0])
+
+
+class TestCd1Update:
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+    def test_equals_plain_formula(self, rng, scale):
+        for trial in range(200):
+            k, m = int(rng.integers(1, 13)), int(rng.integers(1, 8))
+            W = rng.uniform(-scale, scale, size=(k, m))
+            X = rng.integers(0, 2, size=(int(rng.integers(1, 33)), k)).astype(float)
+            rate = 0.0 if trial % 4 == 0 else float(rng.uniform(0.0, 2.0))
+            with np.errstate(over="ignore"):
+                got = cd1._cd1_update(W, X, rate)
+            assert np.array_equal(got, plain_update(W, X, rate))
+
+    def test_callers_hold_the_overflow(self, rng):
+        # saturated: exp of a product with -W overflows
+        W = rng.choice([-800.0, 800.0], size=(5, 3))
+        X = rng.integers(0, 2, size=(32, 5)).astype(float)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            cd1._cd1_update(W, X, 0.1)
+        params = rr.RbmParams(W=W, b=np.zeros(5), c=np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rr.cd1_gradient_step(params, rr.BinaryDataset(X), 0.1)
+            trace = rr.train_cd1(params, rr.BinaryDataset(X), 3, 0.1, 5)
+        assert np.array_equal(out.W, plain_update(W, X, 0.1))
+        assert len(trace) == 4 and np.isfinite(trace[-1].mean_exact_loglik)
+
+    def test_caller_weights_not_mutated(self, rng):
+        W = rng.uniform(-2.0, 2.0, size=(4, 3))
+        before = W.copy()
+        X = rng.integers(0, 2, size=(10, 4)).astype(float)
+        params = rr.RbmParams(W=W, b=np.zeros(4), c=np.zeros(3))
+        cd1._cd1_update(W, X, 0.5)
+        rr.cd1_gradient_step(params, rr.BinaryDataset(X), 0.5)
+        assert np.array_equal(W, before) and np.array_equal(params.W, before)

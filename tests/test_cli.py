@@ -474,7 +474,7 @@ class TestVerify:
             "projection": "1100",
             "gradient": "297",
             "holder": "200",
-            "meanfield": "201",
+            "meanfield": "251",
         }
 
     def test_injected_fault_caught(self, monkeypatch, capsys):
@@ -499,6 +499,15 @@ class TestVerify:
         exact = cd1_mod.cd1_log_partition
         monkeypatch.setattr(
             cd1_mod, "cd1_log_partition", lambda params, x: exact(params, x) + 1e-3
+        )
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: meanfield" in captured
+
+    def test_shifted_cd1_update_caught(self, monkeypatch, capsys):
+        exact = cd1_mod._cd1_update
+        monkeypatch.setattr(
+            cd1_mod, "_cd1_update", lambda W, X, rate: exact(W, X, rate) + 1e-3
         )
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
@@ -660,3 +669,13 @@ class TestInstalledScript:
         )
         assert proc.returncode == 0
         assert (tmp_path / "bounds.csv").exists()
+
+
+class TestImports:
+    def test_cli_loads_without_scipy(self):
+        # scipy is a test and benchmark dependency only; loading it would
+        # more than double every rbmrad process's start-up
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        code = "import sys, rbmrad, rbmrad.cli; sys.exit('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env)
+        assert proc.returncode == 0
