@@ -7,6 +7,8 @@ and evaluates the matching closed-form bounds so that estimates and bounds
 can be compared directly.
 """
 
+import types
+
 from .bounds import (
     bound_corollary1,
     bound_lemma1,
@@ -64,54 +66,8 @@ from .rbm import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryDataset",
-    "ConfigError",
-    "ConstraintSpec",
-    "EnumerationLimitError",
-    "EstimateReport",
-    "ExactDistribution",
-    "ExperimentConfig",
-    "OptimizerSettings",
-    "RademacherBatch",
-    "RbmParams",
-    "TrainingTrace",
-    "bound_corollary1",
-    "bound_lemma1",
-    "bound_lemma4_finite",
-    "bound_remark2",
-    "bound_theorem1",
-    "cd1_approx_log_likelihood",
-    "cd1_gradient_step",
-    "cd1_log_partition",
-    "count_quantized_behaviors",
-    "dataset_log_likelihoods",
-    "energy",
-    "enumerate_configs",
-    "estimate_R_F",
-    "estimate_R_G",
-    "estimate_R_H",
-    "estimate_R_T",
-    "estimate_R_cd1_logZ",
-    "estimate_R_finite_T",
-    "estimate_R_loglik_part1",
-    "exact_distribution",
-    "exact_log_likelihood",
-    "free_energy_part1",
-    "generate_members",
-    "log_partition_bruteforce",
-    "log_partition_factorized",
-    "meanfield_hidden",
-    "meanfield_visible",
-    "parse_config",
-    "part1_bruteforce",
-    "project_l1",
-    "sample_dataset",
-    "sample_sigma_batch",
-    "sauer_shelah_ln_card",
-    "serialize_config",
-    "sigmoid",
-    "softplus",
-    "t_value",
-    "train_cd1",
-]
+# Every public name imported above, and no submodule.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -105,6 +105,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             rendered = repr(value)
         else:
             rendered = str(value)
+        # What parse_config keeps of the value's line, if it stays one line.
+        kept = rendered.split("#", 1)[0].strip()
+        if kept != rendered or len(rendered.splitlines()) > 1:
+            raise ConfigError(f"{f.name} = {rendered!r} does not survive a round trip")
         lines.append(f"{f.name} = {rendered}")
     return "\n".join(lines) + "\n"
 

@@ -137,6 +137,8 @@ def write_members(path, members) -> None:
         W = np.asarray(W, dtype=float)
         if W.shape != (k, m):
             raise ValueError("all member matrices must share one shape")
+        if not np.isfinite(W).all():
+            raise ValueError("member weights must be finite")
         lines.append(f"u={u} j={j}")
         for row in W:
             lines.append(" ".join(fmt_real(v) for v in row))

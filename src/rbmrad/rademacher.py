@@ -9,8 +9,8 @@ points, so every estimate is a certified lower bound of the true supremum.
 That is the safe direction when estimates are compared against upper
 bounds.  One loop, _ascend, owns the feasible set of every optimized class
 (k x cols matrices with each column in the l1 ball of radius W): it draws
-the starts, steps, projects, and floors each sigma vector's value at the
-class's own objective at the zero matrix, one row per sigma vector.  Its
+the starts, steps and projects; each sigma vector's value is the best
+point its own rows reached, exact at W = 0, where every start is 0.  Its
 steps take Barzilai-Borwein lengths, and only active rows enter each
 objective call.  An estimator passes only its row function.  The part-1
 family (H, LOGLIK_PART1) bounds b and each w_j by separate balls, so its
@@ -162,16 +162,20 @@ def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
     """Row-wise Euclidean projection onto the l1 ball of given radius.
 
     Magnitudes shrink by theta = max_j (css_j - radius) / j, css_j the sum
-    of the j largest; the max falls at the projection's support size.  A
-    row whose magnitudes sum to at most the radius comes back unchanged.
+    of the j largest; the max falls at the projection's support size.  Both
+    css and the shrink run on the magnitudes minus the row's largest, the
+    sort's first entry: inside the support those gaps are at most the
+    radius, so a magnitude far above it cannot round the output off the
+    ball.  A row whose magnitudes sum to at most the radius comes back
+    unchanged.
     """
-    if radius == 0.0:
-        return np.zeros_like(V)
     A = np.abs(V)
-    css = np.cumsum(np.sort(A, axis=1)[:, ::-1], axis=1)
-    theta = ((css - radius) / np.arange(1, V.shape[1] + 1)).max(axis=1)
-    theta[A.sum(axis=1) <= radius] = 0.0
-    out = np.maximum(A - theta[:, None], 0.0)
+    U = np.sort(A, axis=1)[:, ::-1]
+    top = U[:, :1]
+    css = np.cumsum(U - top, axis=1)
+    theta = ((css - radius) / np.arange(1, V.shape[1] + 1)).max(axis=1, keepdims=True)
+    inside = A.sum(axis=1, keepdims=True) <= radius
+    out = np.where(inside, A, np.maximum((A - top) - theta, 0.0))
     return np.copysign(out, V, out=out)
 
 
@@ -257,9 +261,9 @@ def _ascend(
     _MIN_STEP, or once a rejected candidate equals its point bit for bit (a
     projected fixed point, to which every other step projects back).  Its
     value, the best it has seen, is written out when it retires, or after
-    the loop if it reaches the cap.  Each sigma vector's max over its block
-    is floored at the objective at the zero matrix, on one row per sigma
-    vector: every returned value is attained by a feasible point.
+    the loop if it reaches the cap.  Each sigma vector's value is the max
+    over its block, attained inside the feasible set; at W = 0 every start
+    is the zero matrix.
     """
     _check_batch(data, batch)
     if cols < 1:
@@ -299,8 +303,7 @@ def _ascend(
             rows, sig, steps = rows[live], sig[live], steps[live]
             Z, f, G = Z[live], f[live], G[live]
     best[rows] = f
-    floor = objective(np.zeros((count, k * cols)), sig_rows[::block], every[::block])[0]
-    return np.maximum(best.reshape(count, block).max(axis=1), floor)
+    return best.reshape(count, block).max(axis=1)
 
 
 def _part1_rows(Z, X, sig_rows):
@@ -480,8 +483,8 @@ def generate_members(
     into the l1 ball, the start draw of _ascend."""
     if count < 1:
         raise ValueError("count must be positive")
-    if not radius >= 0.0:
-        raise ValueError("radius must be nonnegative")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError("radius must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     members = []
     for _ in range(count):

@@ -143,9 +143,11 @@ def suite_lipschitz(seed: int = 0) -> SuiteResult:
 def suite_projection(seed: int = 0) -> SuiteResult:
     """project_l1 feasibility, idempotence, and distance dominance.
 
-    Also runs the ascent's own path, _project_columns on a block of
-    flattened k x m rows: each row must be feasible and equal, bit for bit,
-    to projecting its m columns one at a time with project_l1.
+    Vectors with magnitudes up to 1e300, some tied at the largest, must
+    come back with l1 norm min(|v|_1, radius), radius below 2.  Also runs
+    the ascent's own path, _project_columns on a block of flattened k x m
+    rows: each row must be feasible and equal, bit for bit, to projecting
+    its m columns one at a time with project_l1.
     """
     rng = np.random.default_rng([seed, 4])
     checks = failures = 0
@@ -165,6 +167,13 @@ def suite_projection(seed: int = 0) -> SuiteResult:
         failures += (
             np.linalg.norm(v - p) > np.linalg.norm(v - q) + 1e-12
         )
+    for _ in range(100):
+        d, radius = int(rng.integers(1, 9)), float(rng.uniform(0.0, 2.0))
+        v = rng.uniform(-1.0, 1.0, size=d) * 10.0 ** rng.uniform(0.0, 300.0)
+        v[rng.random(d) < 0.3] = np.abs(v).max()
+        norm = np.abs(rademacher.project_l1(v, radius)).sum()
+        checks += 1
+        failures += abs(norm - min(np.abs(v).sum(), radius)) > 1e-12 * radius
     for _ in range(50):
         k, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
         radius = float(rng.uniform(0.0, 2.0))

@@ -170,9 +170,15 @@ class TestBounds:
     def test_nan_in_later_member_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
-        members = rr.generate_members(6, 3, 4, 1.0, 21)
-        members[3][0][2, 1] = np.nan
-        fileio.write_members(out / "members.txt", members)
+        # write_members refuses a NaN, so it goes into the written text:
+        # row 2 of the last member, after its 'u= j=' line.
+        path = out / "members.txt"
+        fileio.write_members(path, rr.generate_members(6, 3, 4, 1.0, 21))
+        lines = path.read_text().splitlines()
+        row = lines[-4].split()
+        row[1] = "nan"
+        lines[-4] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
         assert run("bounds", "--out", str(out)) == 2
         assert not (out / "bounds.csv").exists()
         assert "malformed member weight block" in capsys.readouterr().err
@@ -251,7 +257,12 @@ class TestEstimate:
         W, u, j = members[0]
         W[u, j] = 1.5e308
         fileio.write_members(out / "members.txt", members)
-        assert run("estimate", "FINITE_T", "--config", str(cfg), "--out", str(out)) == 2
+        with (
+            pytest.warns(RuntimeWarning, match="overflow encountered in matmul"),
+            pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"),
+        ):
+            code = run("estimate", "FINITE_T", "--config", str(cfg), "--out", str(out))
+        assert code == 2
         assert not (out / "estimate_FINITE_T.csv").exists()
         assert "of 30 inner sup values are non-finite" in capsys.readouterr().err
 
@@ -471,7 +482,7 @@ class TestVerify:
             "factorization": "200",
             "partition": "25",
             "lipschitz": "100000",
-            "projection": "1100",
+            "projection": "1200",
             "gradient": "297",
             "holder": "200",
             "meanfield": "251",
@@ -583,6 +594,22 @@ class TestVerify:
             return rad_mod._project_l1_rows(Z.reshape(-1, k), radius).reshape(Z.shape)
 
         monkeypatch.setattr(rad_mod, "_project_columns", rows_not_columns)
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: projection" in captured
+
+    def test_unshifted_projection_caught(self, monkeypatch, capsys):
+        # The threshold taken on the raw magnitudes: css - radius rounds
+        # once the largest magnitude dwarfs the radius.
+        def unshifted(V, radius):
+            A = np.abs(V)
+            css = np.cumsum(np.sort(A, axis=1)[:, ::-1], axis=1)
+            theta = ((css - radius) / np.arange(1, V.shape[1] + 1)).max(axis=1)
+            theta[A.sum(axis=1) <= radius] = 0.0
+            out = np.maximum(A - theta[:, None], 0.0)
+            return np.copysign(out, V, out=out)
+
+        monkeypatch.setattr(rad_mod, "_project_l1_rows", unshifted)
         assert run("verify", "--seed", "5") == 3
         captured = capsys.readouterr().out
         assert "failed suites: projection" in captured

@@ -140,6 +140,16 @@ class TestMembersFile:
         with pytest.raises(ValueError, match="malformed member weight block"):
             fileio.read_members(path)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_not_written(self, tmp_path, bad):
+        # The rule read_members applies, so no written file is unreadable.
+        members = rr.generate_members(3, 2, 2, 1.0, 13)
+        members[1][0][2, 1] = bad
+        path = tmp_path / "m.txt"
+        with pytest.raises(ValueError, match="member weights must be finite"):
+            fileio.write_members(path, members)
+        assert not path.exists()
+
     def test_truncated_rejected(self, tmp_path):
         members = rr.generate_members(3, 2, 2, 1.0, 13)
         path = tmp_path / "m.txt"
@@ -281,6 +291,14 @@ class TestConfig:
         text = config.serialize_config(cfg)
         again = config.serialize_config(config.parse_config(text))
         assert text == again
+
+    @pytest.mark.parametrize("value", ["runs#1", "runs\nk = 2", " runs", "runs\t"])
+    def test_unwritable_string_rejected(self, value):
+        # parse_config would read these back as another value, or fail.
+        cfg = config.parse_config("k = 9")
+        cfg.output_dir = value
+        with pytest.raises(config.ConfigError, match="output_dir"):
+            config.serialize_config(cfg)
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(config.ConfigError, match="line 2"):

@@ -70,6 +70,25 @@ class TestProjectL1:
         p = rr.project_l1(np.array(values), radius)
         assert np.abs(p).sum() <= radius + 1e-10
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8),
+        st.floats(0, 100),
+    )
+    def test_feasible_at_huge_magnitudes(self, values, radius):
+        # Magnitudes far above the radius, where a threshold formed as
+        # css - radius on the raw magnitudes rounds off the ball.
+        p = rr.project_l1(np.array(values), radius)
+        assert np.abs(p).sum() <= radius * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("v, radius, expected", [
+        ([1e16, 0.0], 3.0, [3.0, 0.0]),
+        ([1e20, 1.0, -3.0], 1.0, [1.0, 0.0, 0.0]),
+        ([1e17, 2.0], 100.0, [100.0, 0.0]),
+    ])
+    def test_huge_entry_examples_exact(self, v, radius, expected):
+        assert np.array_equal(rr.project_l1(v, radius), expected)
+
     @staticmethod
     def bisection_theta(v, radius):
         # The threshold of a row outside the ball: the root of the
@@ -273,6 +292,26 @@ class TestClassT:
             rr.estimate_R_finite_T(data, [(W, u, j)], batch)
         with pytest.raises(ValueError, match="outside k=3 m=2"):
             rr.count_quantized_behaviors(data, [W], u, j, 0.05)
+
+    def test_ascent_points_inside_the_ball_at_large_radius(self, monkeypatch):
+        # At W = 300 Barzilai-Borwein steps put entries near 1e254 into the
+        # projection; every point it returns must still be feasible.
+        data = bernoulli_data(np.random.default_rng(5), 50, 6)
+        batch = rr.sample_sigma_batch(50, 20, 5)
+        spec = rr.ConstraintSpec(B_radius=0.0, W_radius=300.0)
+        project = rademacher._project_columns
+        norms = []
+
+        def recorded(Z, k, m, radius):
+            out = project(Z, k, m, radius)
+            norms.append(np.abs(out.reshape(-1, k, m)).sum(axis=1).max())
+            return out
+
+        monkeypatch.setattr(rademacher, "_project_columns", recorded)
+        opt = rr.OptimizerSettings(restarts=8, iterations=200)
+        rr.estimate_R_T(data, spec, 3, batch, opt)
+        assert len(norms) > 1
+        assert max(norms) <= 300.0 * (1.0 + 1e-12)
 
     def test_per_sigma_nonnegative_and_bounded(self, rng):
         data = bernoulli_data(rng, 8, 3)
@@ -500,21 +539,23 @@ class TestAscentDriver:
             return shallow(Z, sig, rows)
 
         values = self.ascend(rng, counted, 500)
-        assert len(calls) <= 1 + 100 + 1  # the start, the steps, the floor
+        assert len(calls) <= 1 + 100  # the start, the steps
         assert np.all(values <= 0.0) and np.all(values >= -1e-6)
 
     def test_rows_retire_when_the_step_underflows(self, rng):
         # A flat objective never accepts a step, so every row halves its
         # step 44 times (0.1 * 2**-44 < _MIN_STEP) and retires long before
-        # the cap of 200 iterations.
+        # the cap of 200 iterations.  Its gradient -z points into the ball
+        # from every nonzero point, so the candidate (1 - step) z never
+        # equals its point and no row retires at a projected fixed point.
         calls = []
 
         def flat(Z, sig, rows):
             calls.append(Z.shape[0])
-            return np.zeros(Z.shape[0]), np.ones_like(Z)
+            return np.zeros(Z.shape[0]), -Z
 
         values = self.ascend(rng, flat, 200)
-        assert len(calls) == 1 + 44 + 1  # the start, the steps, the floor
+        assert len(calls) == 1 + 44  # the start, the steps
         assert set(calls) == {16}
         assert np.array_equal(values, np.zeros(16))
 
@@ -532,16 +573,16 @@ class TestAscentDriver:
 
         values = self.ascend(rng, linear, 200)
         assert np.array_equal(values, np.full(16, 0.4))
-        assert len(calls) <= 1 + 15 + 1
+        assert len(calls) <= 1 + 15
 
     def test_retired_rows_leave_the_block(self, rng):
-        # Rows 0-7 are flat and retire after 44 halvings.  Rows 8-15 follow
+        # Rows 0-7 are flat, with the inward gradient -z of the underflow
+        # test above, and retire after 44 halvings.  Rows 8-15 follow
         # a steep quartic with its maximum at c: its curvature vanishes
         # there, so even Barzilai-Borwein steps close in only linearly, and
         # at this scale the last row gains less than _REL_TOL only on step
         # 58.  The calls shrink as rows retire, each gets the sigma vectors
-        # of the rows it is passed, and a retired row keeps its value.  The
-        # floor, last, gets the whole block.
+        # of the rows it is passed, and a retired row keeps its value.
         a, c = 1e8 * self.A, self.C
         flat = np.arange(16) < 8
         seen = []
@@ -549,15 +590,15 @@ class TestAscentDriver:
         def mixed(Z, sig, rows):
             seen.append((rows, sig))
             value = np.where(flat[rows], 0.25, -((Z - c) ** 4 * a).sum(axis=1))
-            grad = np.where(flat[rows, None], 1.0, -4.0 * a * (Z - c) ** 3)
+            grad = np.where(flat[rows, None], -Z, -4.0 * a * (Z - c) ** 3)
             return value, grad
 
         values = self.ascend(rng, mixed, 500)
         sigma = rr.sample_sigma_batch(5, 16, 2).sigma_vectors
         sizes = [rows.size for rows, _ in seen]
-        assert sizes[0] == sizes[-1] == 16
-        assert all(x >= y for x, y in zip(sizes[:-1], sizes[1:-1]))
-        assert len(seen) > 1 + 44 + 1 and not flat[seen[-2][0]].any()
+        assert sizes[0] == 16
+        assert all(x >= y for x, y in zip(sizes, sizes[1:]))
+        assert len(seen) > 1 + 44 and not flat[seen[-1][0]].any()
         assert all(np.array_equal(sig, sigma[rows]) for rows, sig in seen)
         assert np.array_equal(values[flat], np.full(8, 0.25))
         assert np.all(values[~flat] <= 0.0) and np.all(values[~flat] >= -1e-6)
@@ -568,7 +609,7 @@ class TestAscentDriver:
         # active after the 200th step; rows 0 and 3 are flat and retire
         # early.  Replaying the recorded calls with the acceptance rule
         # fc > f gives each row's last accepted value, and each returned
-        # value is the max over its block, floored at the zero-matrix call.
+        # value is the max over its block.
         drifting = np.isin(np.arange(16) % 4, (1, 2))
         base = np.tile([0.1, 1.0, 0.9, 0.5], 4)
         base[3] = 1.5  # block 0's max comes from a retired row
@@ -586,19 +627,18 @@ class TestAscentDriver:
         opt = rr.OptimizerSettings(restarts=4, iterations=200)
         batch = rr.sample_sigma_batch(5, 4, 2)
         values = rademacher._ascend(data, spec, batch, opt, 1, 4, objective)
-        assert len(calls) == 1 + 200 + 1
-        assert np.array_equal(calls[-2][0], np.flatnonzero(drifting))
+        assert len(calls) == 1 + 200
+        assert np.array_equal(calls[-1][0], np.flatnonzero(drifting))
         accepted = calls[0][1].copy()
-        for rows, value in calls[1:-1]:
+        for rows, value in calls[1:]:
             accepted[rows] = np.maximum(accepted[rows], value)
-        floor_rows, floor = calls[-1]
-        assert np.array_equal(floor_rows, [0, 4, 8, 12])
-        assert np.array_equal(values, np.maximum(accepted.reshape(4, 4).max(axis=1), floor))
+        assert np.array_equal(values, accepted.reshape(4, 4).max(axis=1))
         assert values[0] == 1.5
         assert np.array_equal(values[1:], np.full(3, 1.0 * (1.0 + 200 / 1000)))
 
     def test_one_objective_call_per_iteration(self, rng, monkeypatch):
-        # Plus one call for the floor: an all-zero Z, one row per sigma vector.
+        # And no call at the zero matrix: every value comes from the ascent's
+        # own rows.
         calls = []
         rows = rademacher._part1_rows
 
@@ -610,9 +650,8 @@ class TestAscentDriver:
         data = bernoulli_data(rng, 10, 3)
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         rr.estimate_R_H(data, spec, rr.sample_sigma_batch(10, 6, 8), SMALL_OPT)
-        floor = (6, True)
-        assert calls[-1] == floor and calls.count(floor) == 1
-        ascent = [size for size, _ in calls[:-1]]
+        assert not any(zero for _, zero in calls)
+        ascent = [size for size, _ in calls]
         assert 1 <= len(ascent) <= SMALL_OPT.iterations + 1
         assert ascent[0] == 6 * SMALL_OPT.restarts
         assert ascent == sorted(ascent, reverse=True)
@@ -672,6 +711,11 @@ class TestFiniteT:
         for W, u, j in members:
             assert np.abs(W).sum(axis=0).max() <= 0.8 + 1e-10
             assert 0 <= u < 5 and 0 <= j < 3
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0])
+    def test_member_radius_validated(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+            rr.generate_members(4, 2, 3, radius, 1)
 
     def test_members_reach_a_radius_above_k(self):
         # The draw scales with the radius, so members fill the whole ball
