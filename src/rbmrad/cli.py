@@ -34,6 +34,7 @@ from .rademacher import (
     estimate_R_H,
     estimate_R_loglik_part1,
     estimate_R_T,
+    finite_t_inputs,
     sample_sigma_batch,
 )
 from .rbm import BinaryDataset, RbmParams, sample_dataset
@@ -101,7 +102,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     add("REMARK2", bc.bound_remark2, W=W, d=k, n=n)
     add("THEOREM1", bc.bound_theorem1, B=B, W=W, k=k, m=m, n=n)
     try:
-        t_max, ln_card_T = _finite_inputs(_members(cfg))
+        t_max, ln_card_T = finite_t_inputs(_members(cfg))
     except FileNotFoundError as exc:
         skip("LEMMA4_FINITE", f"no members file {exc.filename}")
     else:
@@ -124,37 +125,18 @@ def _members(cfg: ExperimentConfig) -> list:
     return members
 
 
-def _finite_inputs(members) -> tuple[float, float]:
-    # LEMMA4_FINITE holds for the members FINITE_T is estimated on: the
-    # largest |t| is their largest column l1 norm and |T| their count.
-    t_max = max(float(np.abs(Wt).sum(axis=0).max()) for Wt, _, _ in members)
-    return t_max, math.log(len(members))
-
-
-def _estimate_finite_t(cfg, data, spec, batch, opt):
-    # The members are read once, so the row records the W radius and ln |T|
-    # of the very list the estimate ran on.
-    members = _members(cfg)
-    t_max, ln_card_T = _finite_inputs(members)
-    report = estimate_R_finite_T(data, members, batch)
-    return report, {"W_radius": t_max, "ln_card_T": ln_card_T}
-
-
 @dataclass(frozen=True)
 class HypothesisClass:
     """How the CLI estimates one class and which closed form it is held to.
 
-    estimate(cfg, data, spec, batch, opt) returns the EstimateReport and
-    the estimate columns it ran on that the config does not give; context
-    names the config fields among m, B_radius and W_radius that the
-    estimate CSV records; bounds are the bounds.csv names whose values are
-    summed into the comparator, none when the class has no closed form.
-    compare holds the estimate to every bound row whose recorded inputs
-    equal its columns (see _match).
+    estimate(cfg, data, spec, batch, opt) returns the EstimateReport, whose
+    inputs are the estimate CSV's input columns; bounds are the bounds.csv
+    names whose values are summed into the comparator, none when the class
+    has no closed form.  compare holds the estimate to every bound row
+    whose inputs equal its columns (see _match).
     """
 
     estimate: Callable
-    context: tuple = ()
     bounds: tuple = ()
 
 
@@ -162,43 +144,38 @@ class HypothesisClass:
 # on this module's globals sees every call.
 CLASSES = {
     "F": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: (estimate_R_F(data, spec, batch), {}),
-        context=("B_radius", "W_radius"),
+        lambda cfg, data, spec, batch, opt: estimate_R_F(data, spec, batch),
         bounds=("LEMMA1",),
     ),
     "G": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: (estimate_R_G(data, spec, batch), {}),
-        context=("B_radius", "W_radius"),
+        lambda cfg, data, spec, batch, opt: estimate_R_G(data, spec, batch),
         bounds=("REMARK2",),
     ),
     "H": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: (
-            estimate_R_H(data, spec, batch, opt), {}
-        ),
-        context=("B_radius", "W_radius"),
+        lambda cfg, data, spec, batch, opt: estimate_R_H(data, spec, batch, opt),
         bounds=("LEMMA1", "REMARK2"),
     ),
     "LOGLIK_PART1": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: (
-            estimate_R_loglik_part1(data, spec, cfg.m, batch, opt), {}
+        lambda cfg, data, spec, batch, opt: estimate_R_loglik_part1(
+            data, spec, cfg.m, batch, opt
         ),
-        context=("m", "B_radius", "W_radius"),
         bounds=("THEOREM1",),
     ),
     "T": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: (
-            estimate_R_T(data, spec, cfg.m, batch, opt), {}
-        ),
-        context=("m", "B_radius", "W_radius"),
+        lambda cfg, data, spec, batch, opt: estimate_R_T(data, spec, cfg.m, batch, opt),
     ),
     "CD1_LOGZ": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: (
-            estimate_R_cd1_logZ(data, spec, cfg.m, batch, opt), {}
+        lambda cfg, data, spec, batch, opt: estimate_R_cd1_logZ(
+            data, spec, cfg.m, batch, opt
         ),
-        context=("m", "B_radius", "W_radius"),
         bounds=("COROLLARY1",),
     ),
-    "FINITE_T": HypothesisClass(_estimate_finite_t, bounds=("LEMMA4_FINITE",)),
+    "FINITE_T": HypothesisClass(
+        lambda cfg, data, spec, batch, opt: estimate_R_finite_T(
+            data, _members(cfg), batch
+        ),
+        bounds=("LEMMA4_FINITE",),
+    ),
 }
 
 # bounds.csv inputs whose estimate CSV column has another name.
@@ -214,12 +191,9 @@ def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
     batch = sample_sigma_batch(data.n, cfg.num_sigma, cfg.seed)
     spec = ConstraintSpec(B_radius=cfg.B_radius, W_radius=cfg.W_radius)
     opt = OptimizerSettings(restarts=cfg.restarts, iterations=cfg.iterations)
-    report, recorded = cls.estimate(cfg, data, spec, batch, opt)
-
-    context = {name: getattr(cfg, name) for name in cls.context}
-    row = fileio.estimate_row(report, n=data.n, k=data.k, **context, **recorded)
+    report = cls.estimate(cfg, data, spec, batch, opt)
     out = _path(cfg, f"estimate_{class_name}.csv")
-    fileio.write_estimate_csv(out, [row])
+    fileio.write_estimate_csv(out, [fileio.estimate_row(report)])
     print(f"wrote {out}")
     return EXIT_OK
 

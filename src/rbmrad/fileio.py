@@ -200,10 +200,10 @@ def write_bounds_csv(path, rows) -> None:
     _write_csv(path, BOUNDS_HEADER, rows)
 
 
-def estimate_row(report: EstimateReport, **inputs) -> dict:
-    """One estimate CSV row: the report plus the inputs it ran on, by column."""
+def estimate_row(report: EstimateReport) -> dict:
+    """One estimate CSV row: the report and the inputs it ran on, by column."""
     return {
-        **inputs,
+        **report.inputs,
         "class_name": report.class_name,
         "num_sigma": report.num_sigma,
         "restarts": report.optimizer_restarts,

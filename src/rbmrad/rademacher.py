@@ -29,7 +29,7 @@ projection treats each row alone: no value depends on its batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,13 +108,16 @@ class EstimateReport:
     It holds what the estimator measured, every sigma vector's inner sup;
     the mean, its standard error, the count and the inner-sup kind are
     derived from those values.  optimizer_restarts is 0 for the classes
-    without an ascent.
+    without an ascent.  inputs holds what the estimator ran on, keyed by
+    estimate-CSV column: n and k of the data, the radii of the spec, and m
+    where the estimator takes one.
     """
 
     class_name: str
     per_sigma_values: tuple
     seed: int
     optimizer_restarts: int = 0
+    inputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.class_name not in INNER_SUP_KIND:
@@ -205,6 +208,11 @@ def _check_batch(data: BinaryDataset, batch: RademacherBatch) -> None:
         raise ValueError("sigma vectors must have length n")
 
 
+def _inputs(data: BinaryDataset, spec: ConstraintSpec, **more) -> dict:
+    return {"n": data.n, "k": data.k, "B_radius": spec.B_radius,
+            "W_radius": spec.W_radius, **more}
+
+
 def _linear_values(data: BinaryDataset, batch: RademacherBatch, radius: float):
     # Exact inner sup of the linear class v'x over ||v||_1 <= radius, per
     # sigma vector: radius * ||X'sigma||_inf / n.
@@ -213,25 +221,29 @@ def _linear_values(data: BinaryDataset, batch: RademacherBatch, radius: float):
 
 
 def _estimate_linear(
-    class_name: str, radius: float, data: BinaryDataset, batch: RademacherBatch
+    class_name: str,
+    radius: float,
+    data: BinaryDataset,
+    spec: ConstraintSpec,
+    batch: RademacherBatch,
 ) -> EstimateReport:
     _check_batch(data, batch)
     values = _linear_values(data, batch, radius)
-    return EstimateReport(class_name, values, batch.seed)
+    return EstimateReport(class_name, values, batch.seed, inputs=_inputs(data, spec))
 
 
 def estimate_R_F(
     data: BinaryDataset, spec: ConstraintSpec, batch: RademacherBatch
 ) -> EstimateReport:
     """Linear class f(x) = b'x with ||b||_1 <= B; exact inner sup per sigma."""
-    return _estimate_linear("F", spec.B_radius, data, batch)
+    return _estimate_linear("F", spec.B_radius, data, spec, batch)
 
 
 def estimate_R_G(
     data: BinaryDataset, spec: ConstraintSpec, batch: RademacherBatch
 ) -> EstimateReport:
     """Linear class g(x) = w'x with ||w||_1 <= W; c contributes nothing."""
-    return _estimate_linear("G", spec.W_radius, data, batch)
+    return _estimate_linear("G", spec.W_radius, data, spec, batch)
 
 
 def _ascend(
@@ -316,14 +328,13 @@ def _part1_rows(Z, X, sig_rows):
     return value, ((sigmoid(A) * sig_rows)[:, None, :] @ X)[:, 0] / n
 
 
-def _part1_family(
-    class_name: str,
+def _part1_values(
     data: BinaryDataset,
     spec: ConstraintSpec,
     m: int,
     batch: RademacherBatch,
     opt: OptimizerSettings,
-) -> EstimateReport:
+) -> np.ndarray:
     # Shared class: x -> m b'x + sum_j ln(1 + exp(w_j'x)); H is the m = 1 case.
     # The balls on b and on each w_j are separate, so the value m (linear sup
     # + best w) is attained at b = B sign(v_q) e_q, w_1 = .. = w_m = w*.
@@ -334,8 +345,7 @@ def _part1_family(
         data, spec, batch, opt, 1, opt.restarts,
         lambda Z, sig, rows: _part1_rows(Z, X, sig),
     )
-    values = m * (_linear_values(data, batch, spec.B_radius) + best_w)
-    return EstimateReport(class_name, values, batch.seed, opt.restarts)
+    return m * (_linear_values(data, batch, spec.B_radius) + best_w)
 
 
 def estimate_R_H(
@@ -345,7 +355,8 @@ def estimate_R_H(
     opt: OptimizerSettings = OptimizerSettings(),
 ) -> EstimateReport:
     """Class h(x) = b'x + ln(1 + exp(w'x)) over the two l1 balls."""
-    return _part1_family("H", data, spec, 1, batch, opt)
+    values = _part1_values(data, spec, 1, batch, opt)
+    return EstimateReport("H", values, batch.seed, opt.restarts, _inputs(data, spec))
 
 
 def estimate_R_loglik_part1(
@@ -356,7 +367,9 @@ def estimate_R_loglik_part1(
     opt: OptimizerSettings = OptimizerSettings(),
 ) -> EstimateReport:
     """Part-1 log-likelihood class: shared b, one w_j per hidden unit."""
-    return _part1_family("LOGLIK_PART1", data, spec, m, batch, opt)
+    values = _part1_values(data, spec, m, batch, opt)
+    inputs = _inputs(data, spec, m=m)
+    return EstimateReport("LOGLIK_PART1", values, batch.seed, opt.restarts, inputs)
 
 
 def t_value(W, u: int, j: int, X) -> np.ndarray:
@@ -441,7 +454,8 @@ def estimate_R_T(
         data, spec, batch, opt, m, pair.size,
         lambda Z, sig, rows: _t_rows(Z, X, sig, m, U[rows], J[rows]),
     )
-    return EstimateReport("T", values, batch.seed, opt.restarts)
+    inputs = _inputs(data, spec, m=m)
+    return EstimateReport("T", values, batch.seed, opt.restarts, inputs)
 
 
 def estimate_R_cd1_logZ(
@@ -457,7 +471,19 @@ def estimate_R_cd1_logZ(
         data, spec, batch, opt, m, opt.restarts,
         lambda Z, sig, rows: _cd1_logz_rows(Z, X, sig, m),
     )
-    return EstimateReport("CD1_LOGZ", values, batch.seed, opt.restarts)
+    inputs = _inputs(data, spec, m=m)
+    return EstimateReport("CD1_LOGZ", values, batch.seed, opt.restarts, inputs)
+
+
+def finite_t_inputs(members) -> tuple[float, float]:
+    """LEMMA4_FINITE's W and ln |T| for the finite class of these members.
+
+    W, the largest |t|, is their largest column l1 norm.  FINITE_T records
+    both values and bounds tabulates them, so compare's exact join sees the
+    same bits on both sides.
+    """
+    t_max = max(float(np.abs(W).sum(axis=0).max()) for W, _, _ in members)
+    return t_max, math.log(len(members))
 
 
 def estimate_R_finite_T(
@@ -473,7 +499,9 @@ def estimate_R_finite_T(
             raise ValueError(f"a member W has k={len(W)} rows, data has k={data.k}")
     table = np.stack([t_value(W, u, j, data.samples) for W, u, j in members])
     values = (table @ batch.sigma_vectors[:, :, None])[:, :, 0].max(axis=1) / data.n
-    return EstimateReport("FINITE_T", values, batch.seed)
+    t_max, ln_card_T = finite_t_inputs(members)
+    inputs = {"n": data.n, "k": data.k, "W_radius": t_max, "ln_card_T": ln_card_T}
+    return EstimateReport("FINITE_T", values, batch.seed, inputs=inputs)
 
 
 def generate_members(

@@ -194,11 +194,6 @@ def part1_bruteforce(params: RbmParams, x) -> float:
     return float(logsumexp(exponents))
 
 
-def _part1_all_configs(params: RbmParams, X: np.ndarray) -> np.ndarray:
-    # Vectorized factorized part 1 over rows of X.
-    return X @ params.b + softplus(X @ params.W + params.c).sum(axis=1)
-
-
 def _visible_values(params: RbmParams) -> np.ndarray:
     """Part 1 of all 2^k visible configurations, in enumerate_configs order.
 
@@ -266,7 +261,9 @@ def dataset_log_likelihoods(params: RbmParams, data: BinaryDataset) -> np.ndarra
     if data.k != params.k:
         raise ValueError("dataset width does not match params")
     log_z = log_partition_factorized(params)
-    return _part1_all_configs(params, data.samples) - log_z
+    X = data.samples
+    # Factorized part 1 of every row.
+    return X @ params.b + softplus(X @ params.W + params.c).sum(axis=1) - log_z
 
 
 def sample_dataset(params: RbmParams, n: int, seed: int) -> BinaryDataset:

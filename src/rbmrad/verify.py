@@ -97,23 +97,18 @@ def ascent_instance(rng, n: int, k: int, m: int):
     return X, sig, rng.uniform(-1.0, 1.0, size=(m + 1) * k)
 
 
-def gradient_gap(objective, z: np.ndarray) -> float:
-    """Relative gap between objective's gradient and differences of its value."""
-    analytic = objective(z)[1]
-    fd = np.array([
-        objective(z + e)[0] - objective(z - e)[0] for e in 1e-5 * np.eye(z.size)
-    ]) / 2e-5
+def rows_gradient_gap(rows_fn, Z: np.ndarray, *args) -> float:
+    """Relative gap between an ascent row function's gradient of its summed
+    row values over Z and central differences of that sum."""
+    def value(p):
+        return rows_fn(p.reshape(Z.shape), *args)[0].sum()
+
+    z = Z.ravel()
+    analytic = rows_fn(Z, *args)[1].ravel()
+    fd = np.array([value(z + e) - value(z - e) for e in 1e-5 * np.eye(z.size)]) / 2e-5
     # denominator floored at 1: zero-gradient instances otherwise divide
     # finite-difference ulp noise by an arbitrary tiny constant
     return np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
-
-
-def rows_gradient_gap(rows_fn, Z: np.ndarray, *args) -> float:
-    """gradient_gap of an ascent row function's summed row values over Z."""
-    def objective(p):
-        value, grad = rows_fn(p.reshape(Z.shape), *args)
-        return value.sum(), grad.ravel()
-    return gradient_gap(objective, Z.ravel())
 
 
 def part1_gradient_gap(X, sig, m: int, z: np.ndarray) -> float:

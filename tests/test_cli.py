@@ -228,6 +228,34 @@ class TestEstimate:
         assert row["inner_sup_kind"] == "finite-max"
         assert row["m"] is None and row["B_radius"] is None
 
+    def test_each_estimator_records_its_inputs(self, tmp_path, fast_cfg_path):
+        # report.inputs are the estimate row's input columns, taken from the
+        # estimator's own arguments; FINITE_T's W_radius and ln_card_T are
+        # the values bounds writes for LEMMA4_FINITE, bit for bit.
+        out = tmp_path / "out"
+        run("gen-data", "--config", fast_cfg_path, "--out", str(out))
+        fileio.write_members(out / "members.txt", rr.generate_members(4, 2, 6, 1.0, 21))
+        assert run("bounds", "--config", fast_cfg_path, "--out", str(out)) == 0
+        data = fileio.read_dataset(out / "dataset.txt")
+        spec = rr.ConstraintSpec(B_radius=0.5, W_radius=2.0)
+        batch = rr.sample_sigma_batch(data.n, 3, 7)
+        opt = rr.OptimizerSettings(restarts=4, iterations=200)
+        common = {"n": 12, "k": 4, "B_radius": 0.5, "W_radius": 2.0}
+        for report in (rr.estimate_R_F(data, spec, batch),
+                       rr.estimate_R_G(data, spec, batch),
+                       rr.estimate_R_H(data, spec, batch, opt)):
+            assert report.inputs == common, report.class_name
+        for report in (rr.estimate_R_loglik_part1(data, spec, 3, batch, opt),
+                       rr.estimate_R_T(data, spec, 3, batch, opt),
+                       rr.estimate_R_cd1_logZ(data, spec, 3, batch, opt)):
+            assert report.inputs == {**common, "m": 3}, report.class_name
+        members = fileio.read_members(out / "members.txt")
+        finite = rr.estimate_R_finite_T(data, members, batch)
+        (lemma4,) = [row for row in fileio.read_csv(out / "bounds.csv")
+                     if row["bound_name"] == "LEMMA4_FINITE"]
+        assert finite.inputs == {"n": 12, "k": 4, "W_radius": lemma4["W"],
+                                 "ln_card_T": lemma4["ln_card_T"]}
+
     def test_finite_T_member_index_out_of_range_exits_2(self, tmp_path, fast_cfg_path):
         out = tmp_path / "out"
         run("gen-data", "--config", fast_cfg_path, "--out", str(out))
@@ -286,7 +314,7 @@ class TestCompare:
     def test_every_class_has_a_table_entry(self):
         assert set(cli.CLASSES) == set(rad_mod.CLASS_NAMES)
 
-    def test_pipeline_rows_and_pair_probe(self, tmp_path, fast_cfg_path, capsys):
+    def test_pipeline_rows_and_finite_t_bound(self, tmp_path, fast_cfg_path, capsys):
         out = tmp_path / "out"
         members = run_pipeline(out, fast_cfg_path)
         rows = fileio.read_csv(out / "comparison.csv")

@@ -198,7 +198,7 @@ class TestCsvFiles:
         data = rr.BinaryDataset(rng.integers(0, 2, size=(10, 3)).astype(float))
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         report = rr.estimate_R_F(data, spec, rr.sample_sigma_batch(10, 20, 4))
-        row = fileio.estimate_row(report, n=10, k=3, B_radius=1.0, W_radius=1.0)
+        row = fileio.estimate_row(report)
         path = tmp_path / "est.csv"
         fileio.write_estimate_csv(path, [row])
         back = fileio.read_csv(path)[0]
@@ -214,7 +214,7 @@ class TestCsvFiles:
         data = rr.BinaryDataset(rng.integers(0, 2, size=(10, 3)).astype(float))
         spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
         report = rr.estimate_R_F(data, spec, rr.sample_sigma_batch(10, 5, 4))
-        row = fileio.estimate_row(report, n=3, k=3, vc=2, W=1.0)
+        row = {**fileio.estimate_row(report), "vc": 2, "W": 1.0}
         path = tmp_path / "est.csv"
         with pytest.raises(ValueError, match="no CSV column for W, vc"):
             fileio.write_estimate_csv(path, [row])

@@ -234,7 +234,7 @@ class TestOptimizedClasses:
             rr.OptimizerSettings(iterations=100)
 
 
-class TestFeasibleFloor:
+class TestZeroRadiusValues:
     """Every per-sigma value is attained: at W = 0 it is the row function at 0."""
 
     def test_zero_radius_values_are_the_row_function_at_zero(self):
