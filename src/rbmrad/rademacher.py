@@ -50,6 +50,11 @@ CLASS_NAMES = tuple(INNER_SUP_KIND)
 _STEP_SIZE = 0.1  # initial ascent step of every row
 _REL_TOL = 1e-9  # a row retires once an accepted move gains relatively less
 _MIN_STEP = 1e-14
+# Cap on step * max(max|g|, 1) once a candidate leaves the float range.  A
+# Barzilai-Borwein length can be long enough that step * g, or the
+# projection's sums over it, exceeds about 1.8e308; steps and moves of at
+# most 1e300 keep a point plus its move, and sums of k such entries, finite.
+_MAX_MOVE = 1e300
 
 
 @dataclass(frozen=True)
@@ -268,7 +273,9 @@ def _ascend(
     it; a rejected move halves the step.  After an accepted move d, with
     gradient change y, the step is the projected Barzilai-Borwein length
     |d|^2 / (-d.y), or doubles where -d.y is not positive or the ratio is
-    not finite; both products run one row at a time.  A row retires once a
+    not finite; both products run one row at a time.  Should a candidate
+    overflow, every row's step is cut so that step * max(max|g|, 1) <=
+    _MAX_MOVE, and the candidate is recomputed.  A row retires once a
     move gains relatively less than _REL_TOL, once its step underflows
     _MIN_STEP, or once a rejected candidate equals its point bit for bit (a
     projected fixed point, to which every other step projects back).  Its
@@ -292,28 +299,36 @@ def _ascend(
     f, G = objective(Z, sig_rows, every)
     best = np.empty(every.size)
     rows, sig, steps = every, sig_rows, np.full(every.size, _STEP_SIZE)
-    for _ in range(opt.iterations):
-        if rows.size == 0:
-            break
-        cand = _project_columns(Z + steps[:, None] * G, k, cols, radius)
-        fc, gc = objective(cand, sig, rows)
-        improved = fc > f
-        rel = (fc - f) / np.maximum(1.0, np.abs(fc))
-        d = cand - Z
-        curv = np.einsum("ri,ri->r", d, G - gc)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            bb = np.einsum("ri,ri->r", d, d) / curv
-        grown = np.where((curv > 0.0) & np.isfinite(bb), bb, 2.0 * steps)
-        steps = np.where(improved, grown, 0.5 * steps)
-        Z = np.where(improved[:, None], cand, Z)
-        f = np.where(improved, fc, f)
-        G = np.where(improved[:, None], gc, G)
-        done = np.where(improved, rel < _REL_TOL, (steps < _MIN_STEP) | ~d.any(axis=1))
-        if done.any():
-            best[rows[done]] = f[done]
-            live = ~done
-            rows, sig, steps = rows[live], sig[live], steps[live]
-            Z, f, G = Z[live], f[live], G[live]
+    # One error context for the whole loop: a candidate that leaves the
+    # float range raises where it is formed, and no iteration pays to check.
+    with np.errstate(over="raise", invalid="raise"):
+        for _ in range(opt.iterations):
+            if rows.size == 0:
+                break
+            try:
+                cand = _project_columns(Z + steps[:, None] * G, k, cols, radius)
+            except FloatingPointError:
+                gmax = np.maximum(np.abs(G).max(axis=1), 1.0)
+                steps = np.minimum(steps, _MAX_MOVE / gmax)
+                cand = _project_columns(Z + steps[:, None] * G, k, cols, radius)
+            fc, gc = objective(cand, sig, rows)
+            improved = fc > f
+            rel = (fc - f) / np.maximum(1.0, np.abs(fc))
+            d = cand - Z
+            curv = np.einsum("ri,ri->r", d, G - gc)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                bb = np.einsum("ri,ri->r", d, d) / curv
+                grown = np.where((curv > 0.0) & np.isfinite(bb), bb, 2.0 * steps)
+            steps = np.where(improved, grown, 0.5 * steps)
+            Z = np.where(improved[:, None], cand, Z)
+            f = np.where(improved, fc, f)
+            G = np.where(improved[:, None], gc, G)
+            done = np.where(improved, rel < _REL_TOL, (steps < _MIN_STEP) | ~d.any(axis=1))
+            if done.any():
+                best[rows[done]] = f[done]
+                live = ~done
+                rows, sig, steps = rows[live], sig[live], steps[live]
+                Z, f, G = Z[live], f[live], G[live]
     best[rows] = f
     return best.reshape(count, block).max(axis=1)
 

@@ -6,7 +6,9 @@ exactly: the hidden sum factorizes per hidden unit, and the partition
 function is obtained by enumerating visible configurations.  That
 enumeration splits the visible bits into a low and a high half, so its
 working tables grow with 2^ceil(k/2) * m and only its output, one value
-per configuration, grows with 2^k.  Enumeration guards reject sizes where
+per configuration, grows with 2^k.  That one table of per-configuration
+values gives ln Z, the exact distribution and every row's ln p(x), read
+at the row's configuration index.  Enumeration guards reject sizes where
 the tables stop fitting a desk-scale budget.
 """
 
@@ -244,9 +246,18 @@ def log_partition_bruteforce(params: RbmParams) -> float:
     return float(logsumexp(partials))
 
 
+def _log_likelihoods(params: RbmParams, X: np.ndarray) -> np.ndarray:
+    # Row x of X is configuration sum_j x_j 2^j of the enumeration, so one
+    # table gives both its part 1 and ln Z.
+    values = _visible_values(params)
+    idx = (X @ 2.0 ** np.arange(params.k)).astype(np.intp)
+    return values[idx] - logsumexp(values)
+
+
 def exact_log_likelihood(params: RbmParams, x) -> float:
     """ln p(x) = part 1 minus ln Z; never positive beyond roundoff."""
-    return free_energy_part1(params, x) - log_partition_factorized(params)
+    xv = _check_binary_vector(x, params.k, "x")
+    return float(_log_likelihoods(params, xv[None])[0])
 
 
 def exact_distribution(params: RbmParams) -> ExactDistribution:
@@ -257,13 +268,10 @@ def exact_distribution(params: RbmParams) -> ExactDistribution:
 
 
 def dataset_log_likelihoods(params: RbmParams, data: BinaryDataset) -> np.ndarray:
-    """Exact ln p(x) for every dataset row, sharing one ln Z evaluation."""
+    """Exact ln p(x) for every dataset row, read from one enumeration."""
     if data.k != params.k:
         raise ValueError("dataset width does not match params")
-    log_z = log_partition_factorized(params)
-    X = data.samples
-    # Factorized part 1 of every row.
-    return X @ params.b + softplus(X @ params.W + params.c).sum(axis=1) - log_z
+    return _log_likelihoods(params, data.samples)
 
 
 def sample_dataset(params: RbmParams, n: int, seed: int) -> BinaryDataset:

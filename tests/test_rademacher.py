@@ -293,12 +293,12 @@ class TestClassT:
         with pytest.raises(ValueError, match="outside k=3 m=2"):
             rr.count_quantized_behaviors(data, [W], u, j, 0.05)
 
-    def test_ascent_points_inside_the_ball_at_large_radius(self, monkeypatch):
-        # At W = 300 Barzilai-Borwein steps put entries near 1e254 into the
-        # projection; every point it returns must still be feasible.
+    @staticmethod
+    def fd_config_t(monkeypatch, radius, count):
+        # T on the fd_ascent data with `count` sigma vectors of seed 5; also
+        # the worst column l1 norm of every point _project_columns returns.
         data = bernoulli_data(np.random.default_rng(5), 50, 6)
-        batch = rr.sample_sigma_batch(50, 20, 5)
-        spec = rr.ConstraintSpec(B_radius=0.0, W_radius=300.0)
+        spec = rr.ConstraintSpec(B_radius=0.0, W_radius=radius)
         project = rademacher._project_columns
         norms = []
 
@@ -309,9 +309,24 @@ class TestClassT:
 
         monkeypatch.setattr(rademacher, "_project_columns", recorded)
         opt = rr.OptimizerSettings(restarts=8, iterations=200)
-        rr.estimate_R_T(data, spec, 3, batch, opt)
+        report = rr.estimate_R_T(data, spec, 3, rr.sample_sigma_batch(50, count, 5), opt)
         assert len(norms) > 1
-        assert max(norms) <= 300.0 * (1.0 + 1e-12)
+        return report, max(norms)
+
+    def test_ascent_points_inside_the_ball_at_large_radius(self, monkeypatch):
+        # At W = 300 Barzilai-Borwein steps put entries near 1e254 into the
+        # projection; every point it returns must still be feasible.
+        _, worst = self.fd_config_t(monkeypatch, 300.0, 20)
+        assert worst <= 300.0 * (1.0 + 1e-12)
+
+    def test_overflowing_step_is_capped_at_radius_1000(self, monkeypatch):
+        # At W = 1000 a Barzilai-Borwein step times the gradient leaves the
+        # float range; the capped move raises no RuntimeWarning (an error
+        # under this suite) and every projected point stays in the ball.
+        report, worst = self.fd_config_t(monkeypatch, 1000.0, 4)
+        assert worst <= 1000.0 * (1.0 + 1e-12)
+        assert 0.0 <= min(report.per_sigma_values)
+        assert max(report.per_sigma_values) <= 1000.0
 
     def test_per_sigma_nonnegative_and_bounded(self, rng):
         data = bernoulli_data(rng, 8, 3)

@@ -325,13 +325,19 @@ class TestConventions:
         assert rr.sigmoid(0.0) == 0.5
 
     def test_dataset_log_likelihoods_matches_scalar(self, rng):
-        p = random_params(rng, 4, 2)
-        data = rr.sample_dataset(p, 20, 3)
-        vec = rr.dataset_log_likelihoods(p, data)
-        for i in range(5):
-            assert vec[i] == pytest.approx(
-                rr.exact_log_likelihood(p, data.samples[i]), abs=1e-12
-            )
+        # Oracle sharing no table with the lookup: the single-x part 1 minus
+        # the double-sum ln Z.  k = 1 leaves the low half empty and k = 7
+        # splits it unequally; every row appears twice.
+        for k in (1, 2, 7):
+            p = random_params(rng, k, 3)
+            X = rng.integers(0, 2, size=(12, k)).astype(float)
+            data = rr.BinaryDataset(np.concatenate([X, X[::-1]]))
+            vec = rr.dataset_log_likelihoods(p, data)
+            log_z = rr.log_partition_bruteforce(p)
+            assert vec.shape == (data.n,)
+            for x, value in zip(data.samples, vec):
+                oracle = rr.free_energy_part1(p, x) - log_z
+                assert abs(value - oracle) <= 1e-12, (k, x)
 
 
 class TestMemory:
