@@ -1,6 +1,6 @@
 """Monte-Carlo estimation of empirical Rademacher complexity.
 
-For a hypothesis class H and sample S of size n, the quantity estimated is
+For a hypothesis class H and a sample x_1 .. x_n, the quantity estimated is
 E_sigma[max over h in H of (1/n) sum_i sigma_i h(x_i)] with sigma uniform on
 {-1,+1}^n.  The linear classes F and G admit the exact analytic inner
 supremum (an l1/l-infinity duality); the nonlinear classes use multi-restart
@@ -19,11 +19,14 @@ ascent over w (cols = 1); T and CD1_LOGZ ascend over the whole W
 (cols = m).  All four follow analytic gradients, and one forward pass
 gives each row's value and gradient.
 
+The sample enters every objective only through its d distinct rows U and
+their signed counts S (see _signed_counts): each estimator sums over U,
+weighted by S and divided by the original n, so repeated rows cost nothing.
 Sigma index i draws its optimizer randomness from the stream (master seed,
 i), and all restarts and sigma vectors share one row-per-problem block.
-Each product over the sample runs one ascent row or, in FINITE_T, one
-sigma vector at a time, F's and G's integer sums are exact, and the
-projection treats each row alone: no value depends on its batch.
+Each product over U runs one ascent row or, in FINITE_T, one sigma vector
+at a time, the integer sums of S and of F's and G's S @ U are exact, and
+the projection treats each row alone: no value depends on its batch.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ INNER_SUP_KIND = {
 }
 CLASS_NAMES = tuple(INNER_SUP_KIND)
 
+_LN2 = math.log(2.0)  # softplus(0); ln 2 * (1 / ln 2) rounds to exactly 1
 _STEP_SIZE = 0.1  # initial ascent step of every row
 _REL_TOL = 1e-9  # a row retires once an accepted move gains relatively less
 _MIN_STEP = 1e-14
@@ -208,9 +212,24 @@ def project_l1(v, radius: float) -> np.ndarray:
     return _project_l1_rows(v[None, :], radius)[0]
 
 
-def _check_batch(data: BinaryDataset, batch: RademacherBatch) -> None:
-    if batch.sigma_vectors.shape[1] != data.n:
+def _signed_counts(data: BinaryDataset, batch: RademacherBatch):
+    """The sample's d distinct rows U, in first-occurrence order, and the
+    N x d signed counts S: S[i, c] sums sigma_i over the copies of U[c], in
+    exact integers.  A sample without repeats returns as (X, sigma).
+    """
+    X, sig = data.samples, batch.sigma_vectors
+    if sig.shape[1] != data.n:
         raise ValueError("sigma vectors must have length n")
+    # Each row as one byte string, so a 1-D unique finds the distinct rows;
+    # inverse's shape differs between numpy 1.x and 2.0, hence the reshape.
+    rows = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * data.k)))
+    _, first, inverse = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+    if first.size == data.n:
+        return X, sig
+    order = np.argsort(first)
+    label = np.argsort(order)[inverse.reshape(-1)]
+    membership = (label[:, None] == np.arange(first.size)).astype(float)
+    return X[first[order]], sig @ membership
 
 
 def _inputs(data: BinaryDataset, spec: ConstraintSpec, **more) -> dict:
@@ -218,11 +237,10 @@ def _inputs(data: BinaryDataset, spec: ConstraintSpec, **more) -> dict:
             "W_radius": spec.W_radius, **more}
 
 
-def _linear_values(data: BinaryDataset, batch: RademacherBatch, radius: float):
+def _linear_values(U, S, n: int, radius: float):
     # Exact inner sup of the linear class v'x over ||v||_1 <= radius, per
-    # sigma vector: radius * ||X'sigma||_inf / n.
-    V = batch.sigma_vectors @ data.samples
-    return radius * np.abs(V).max(axis=1) / data.n
+    # sigma vector: radius * ||X'sigma||_inf / n, with X'sigma = U'S_i.
+    return radius * np.abs(S @ U).max(axis=1) / n
 
 
 def _estimate_linear(
@@ -232,8 +250,7 @@ def _estimate_linear(
     spec: ConstraintSpec,
     batch: RademacherBatch,
 ) -> EstimateReport:
-    _check_batch(data, batch)
-    values = _linear_values(data, batch, radius)
+    values = _linear_values(*_signed_counts(data, batch), data.n, radius)
     return EstimateReport(class_name, values, batch.seed, inputs=_inputs(data, spec))
 
 
@@ -252,10 +269,11 @@ def estimate_R_G(
 
 
 def _ascend(
-    data: BinaryDataset,
+    S: np.ndarray,
+    seed: int,
     spec: ConstraintSpec,
-    batch: RademacherBatch,
     opt: OptimizerSettings,
+    k: int,
     cols: int,
     block: int,
     objective,
@@ -263,17 +281,18 @@ def _ascend(
     """Multi-restart ascent over the feasible set of every optimized class.
 
     A row is a flattened k x cols matrix whose columns lie in the l1 ball
-    of radius spec.W_radius.  Sigma vector i owns `block` consecutive rows,
-    started uniform in [-W_radius, W_radius] from the stream (seed, i).
-    objective(Z, sig_rows, rows) returns the value and gradient of each
-    block row listed in `rows`, given in block order with its point and
-    sigma vector.  The loop keeps the active rows' points, values,
-    gradients, steps and sigma vectors compacted, and calls the objective
-    once per iteration on them.  A row moves only when its step improves
-    it; a rejected move halves the step.  After an accepted move d, with
-    gradient change y, the step is the projected Barzilai-Borwein length
-    |d|^2 / (-d.y), or doubles where -d.y is not positive or the ratio is
-    not finite; both products run one row at a time.  Should a candidate
+    of radius spec.W_radius.  Sigma vector i, whose signed counts are S[i],
+    owns `block` consecutive rows, started uniform in [-W_radius, W_radius]
+    from the stream (seed, i).  objective(Z, sig_rows, rows) returns the
+    value and gradient of each block row listed in `rows`, given in block
+    order with its point and signed counts.  The loop keeps the active
+    rows' points, values, gradients, steps and signed counts compacted,
+    and calls the objective once per iteration on them.  A row moves only
+    when its step improves it; a rejected move halves the step.  After an
+    accepted move d, with gradient change y, the step is the projected
+    Barzilai-Borwein length |d|^2 / (-d.y), or doubles where -d.y is not
+    positive or the ratio is not finite; both products run one row at a
+    time.  Should a candidate
     overflow, every row's step is cut so that step * max(max|g|, 1) <=
     _MAX_MOVE, and the candidate is recomputed.  A row retires once a
     move gains relatively less than _REL_TOL, once its step underflows
@@ -284,15 +303,13 @@ def _ascend(
     over its block, attained inside the feasible set; at W = 0 every start
     is the zero matrix.
     """
-    _check_batch(data, batch)
     if cols < 1:
         raise ValueError("m must be positive")
-    count = batch.sigma_vectors.shape[0]
-    k, radius = data.k, spec.W_radius
-    sig_rows = np.repeat(batch.sigma_vectors, block, axis=0)
+    count, radius = S.shape[0], spec.W_radius
+    sig_rows = np.repeat(S, block, axis=0)
     starts = []
     for i in range(count):
-        rng = np.random.default_rng([batch.seed, i])
+        rng = np.random.default_rng([seed, i])
         starts.append(rng.uniform(-1.0, 1.0, size=(block, k * cols)) * radius)
     Z = _project_columns(np.concatenate(starts, axis=0), k, cols, radius)
     every = np.arange(Z.shape[0])
@@ -333,14 +350,14 @@ def _ascend(
     return best.reshape(count, block).max(axis=1)
 
 
-def _part1_rows(Z, X, sig_rows):
-    # Row r holds one hidden unit's w; objective sig'softplus(X w) / n.
-    # Each product runs one row at a time, so a row gets the same bits in
-    # any block.
-    n = X.shape[0]
-    A = (Z[:, None, :] @ X.T)[:, 0]
-    value = np.einsum("rn,rn->r", softplus(A), sig_rows) / n
-    return value, ((sigmoid(A) * sig_rows)[:, None, :] @ X)[:, 0] / n
+def _part1_rows(Z, U, S_rows, n: int):
+    # Row r holds one hidden unit's w; objective S'softplus(U w) / n, summed
+    # in units of ln 2, so the value at w = 0 is ln 2 sum(sigma) / n exactly
+    # (0 where the signs cancel).  Each product runs one row at a time, so
+    # a row gets the same bits in any block.
+    A = (Z[:, None, :] @ U.T)[:, 0]
+    value = _LN2 * np.einsum("rd,rd->r", softplus(A) * (1.0 / _LN2), S_rows) / n
+    return value, ((sigmoid(A) * S_rows)[:, None, :] @ U)[:, 0] / n
 
 
 def _part1_values(
@@ -355,12 +372,12 @@ def _part1_values(
     # + best w) is attained at b = B sign(v_q) e_q, w_1 = .. = w_m = w*.
     if m < 1:
         raise ValueError("m must be positive")
-    X = data.samples
+    U, S = _signed_counts(data, batch)
     best_w = _ascend(
-        data, spec, batch, opt, 1, opt.restarts,
-        lambda Z, sig, rows: _part1_rows(Z, X, sig),
+        S, batch.seed, spec, opt, data.k, 1, opt.restarts,
+        lambda Z, S_rows, rows: _part1_rows(Z, U, S_rows, data.n),
     )
-    return m * (_linear_values(data, batch, spec.B_radius) + best_w)
+    return m * (_linear_values(U, S, data.n, spec.B_radius) + best_w)
 
 
 def estimate_R_H(
@@ -399,51 +416,53 @@ def t_value(W, u: int, j: int, X) -> np.ndarray:
     return W[u, j] * mid
 
 
-def _t_rows(Z, X, sig_rows, m: int, u, j):
+def _t_rows(Z, U, S_rows, n: int, m: int, u, j):
     # Row r holds a flattened k x m matrix W and its pair (u[r], j[r]);
-    # objective sig' t_W(X) / n with t = W_uj sigmoid(W[u] s), s = sigmoid(W' X'),
+    # objective S' t_W(U) / n with t = W_uj sigmoid(W[u] s), s = sigmoid(W' U'),
     # and its gradient by backpropagation.  Each row's tensors are laid out
-    # (units, n), so every product and reduction over the sample runs on the
-    # last axis.
-    n, k = X.shape
+    # (units, d), so every product and reduction over the distinct rows runs
+    # on the last axis.
+    k = U.shape[1]
     W_cube = Z.reshape(Z.shape[0], k, m)
     rows = np.arange(Z.shape[0])
-    g = sig_rows / n
+    g = S_rows / n
     W_u = W_cube[rows, u, :]
     W_uj = W_cube[rows, u, j][:, None]
-    s = sigmoid(W_cube.transpose(0, 2, 1) @ X.T)
+    s = sigmoid(W_cube.transpose(0, 2, 1) @ U.T)
     mid = sigmoid((W_u[:, None, :] @ s)[:, 0])
-    value = np.einsum("rn,rn->r", W_uj * mid, sig_rows) / n
+    value = np.einsum("rd,rd->r", W_uj * mid, S_rows) / n
     G_pre = g * W_uj * mid * (1.0 - mid)
     grad_u = (s @ G_pre[:, :, None])[:, :, 0]
-    # In place, s turned into 1 - s after its last read: two (rows, m, n) arrays
+    # In place, s turned into 1 - s after its last read: two (rows, m, d) arrays
     # alive, not three, so glibc does not trim and refault the heap every call.
     D = G_pre[:, None, :] * W_u[:, :, None]
     D *= s
     D *= np.subtract(1.0, s, out=s)
-    grad = (D @ X).transpose(0, 2, 1)
+    grad = (D @ U).transpose(0, 2, 1)
     grad[rows, u, :] += grad_u
-    grad[rows, u, j] += np.einsum("rn,rn->r", g, mid)
+    grad[rows, u, j] += np.einsum("rd,rd->r", g, mid)
     return value, grad.reshape(Z.shape)
 
 
-def _cd1_logz_rows(Z, X, sig_rows, m: int):
+def _cd1_logz_rows(Z, U, S_rows, n: int, m: int):
     # Row r holds a flattened k x m matrix W; objective
-    # sig' sum_j softplus(W_j' x_tilde) / n with x_tilde = sigmoid(W sigmoid(W' X')),
+    # S' sum_j softplus(W_j' x_tilde) / n with x_tilde = sigmoid(W sigmoid(W' U')),
     # and its gradient by backpropagation through the three uses of W:
-    # a = W' X', b = W s, c = W' x_tilde, each laid out (units, n).  G_* is
-    # the gradient of the objective by each preactivation.
-    n, k = X.shape
+    # a = W' U', b = W s, c = W' x_tilde, each laid out (units, d).  As in
+    # _part1_rows, the sum runs in units of ln 2.  G_* is the gradient of
+    # the objective by each preactivation.
+    k = U.shape[1]
     W_cube = Z.reshape(Z.shape[0], k, m)
     W_t = W_cube.transpose(0, 2, 1)
-    s = sigmoid(W_t @ X.T)
+    s = sigmoid(W_t @ U.T)
     x_tilde = sigmoid(W_cube @ s)
     c = W_t @ x_tilde
-    value = np.einsum("rn,rn->r", softplus(c).sum(axis=1), sig_rows) / n
-    G_c = (sig_rows / n)[:, None, :] * sigmoid(c)
+    units = (softplus(c) * (1.0 / _LN2)).sum(axis=1)
+    value = _LN2 * np.einsum("rd,rd->r", units, S_rows) / n
+    G_c = (S_rows / n)[:, None, :] * sigmoid(c)
     G_b = (W_cube @ G_c) * x_tilde * (1.0 - x_tilde)
     G_a = (W_t @ G_b) * s * (1.0 - s)
-    grad = G_c @ x_tilde.transpose(0, 2, 1) + s @ G_b.transpose(0, 2, 1) + G_a @ X
+    grad = G_c @ x_tilde.transpose(0, 2, 1) + s @ G_b.transpose(0, 2, 1) + G_a @ U
     return value, grad.transpose(0, 2, 1).reshape(Z.shape)
 
 
@@ -459,15 +478,14 @@ def estimate_R_T(
     Each (u, j) gets its own multi-restart ascent over W (every column inside
     the l1 ball).
     """
-    X = data.samples
+    U, S = _signed_counts(data, batch)
     # A sigma vector's block runs through the pairs (u, j) in row-major
     # order, with `restarts` consecutive rows per pair.
     pair = np.arange(data.k * m * opt.restarts) // opt.restarts
-    count = batch.sigma_vectors.shape[0]
-    U, J = np.tile(pair // m, count), np.tile(pair % m, count)
+    pu, pj = np.tile(pair // m, S.shape[0]), np.tile(pair % m, S.shape[0])
     values = _ascend(
-        data, spec, batch, opt, m, pair.size,
-        lambda Z, sig, rows: _t_rows(Z, X, sig, m, U[rows], J[rows]),
+        S, batch.seed, spec, opt, data.k, m, pair.size,
+        lambda Z, S_rows, rows: _t_rows(Z, U, S_rows, data.n, m, pu[rows], pj[rows]),
     )
     inputs = _inputs(data, spec, m=m)
     return EstimateReport("T", values, batch.seed, opt.restarts, inputs)
@@ -481,10 +499,10 @@ def estimate_R_cd1_logZ(
     opt: OptimizerSettings = OptimizerSettings(),
 ) -> EstimateReport:
     """Class x -> CD-1 approximate ln Z, optimized over column-bounded W."""
-    X = data.samples
+    U, S = _signed_counts(data, batch)
     values = _ascend(
-        data, spec, batch, opt, m, opt.restarts,
-        lambda Z, sig, rows: _cd1_logz_rows(Z, X, sig, m),
+        S, batch.seed, spec, opt, data.k, m, opt.restarts,
+        lambda Z, S_rows, rows: _cd1_logz_rows(Z, U, S_rows, data.n, m),
     )
     inputs = _inputs(data, spec, m=m)
     return EstimateReport("CD1_LOGZ", values, batch.seed, opt.restarts, inputs)
@@ -505,15 +523,15 @@ def estimate_R_finite_T(
     data: BinaryDataset, members, batch: RademacherBatch
 ) -> EstimateReport:
     """Exact inner max over an explicit finite list of (W, u, j) members."""
-    _check_batch(data, batch)
+    U, S = _signed_counts(data, batch)
     members = list(members)
     if not members:
         raise ValueError("members must be nonempty")
     for W, _, _ in members:
         if len(W) != data.k:
             raise ValueError(f"a member W has k={len(W)} rows, data has k={data.k}")
-    table = np.stack([t_value(W, u, j, data.samples) for W, u, j in members])
-    values = (table @ batch.sigma_vectors[:, :, None])[:, :, 0].max(axis=1) / data.n
+    table = np.stack([t_value(W, u, j, U) for W, u, j in members])
+    values = (table @ S[:, :, None])[:, :, 0].max(axis=1) / data.n
     t_max, ln_card_T = finite_t_inputs(members)
     inputs = {"n": data.n, "k": data.k, "W_radius": t_max, "ln_card_T": ln_card_T}
     return EstimateReport("FINITE_T", values, batch.seed, inputs=inputs)

@@ -97,6 +97,12 @@ def ascent_instance(rng, n: int, k: int, m: int):
     return X, sig, rng.uniform(-1.0, 1.0, size=(m + 1) * k)
 
 
+def signed_counts(X, sig):
+    """rademacher._signed_counts of sample X and one sign vector sig."""
+    batch = rademacher.RademacherBatch(sig[None], 0)
+    return rademacher._signed_counts(rbm.BinaryDataset(X), batch)
+
+
 def rows_gradient_gap(rows_fn, Z: np.ndarray, *args) -> float:
     """Relative gap between an ascent row function's gradient of its summed
     row values over Z and central differences of that sum."""
@@ -114,7 +120,8 @@ def rows_gradient_gap(rows_fn, Z: np.ndarray, *args) -> float:
 def part1_gradient_gap(X, sig, m: int, z: np.ndarray) -> float:
     """rows_gradient_gap of rademacher._part1_rows at the m vectors in z[k:]."""
     W = z[X.shape[1]:].reshape(m, -1)
-    return rows_gradient_gap(rademacher._part1_rows, W, X, np.tile(sig, (m, 1)))
+    U, S = signed_counts(X, sig)
+    return rows_gradient_gap(rademacher._part1_rows, W, U, np.tile(S, (m, 1)), len(X))
 
 
 def suite_factorization(seed: int = 0) -> SuiteResult:
@@ -185,10 +192,13 @@ def suite_projection(seed: int = 0) -> SuiteResult:
 def suite_gradient(seed: int = 0) -> SuiteResult:
     """The ascent gradients against central differences of their objectives.
 
-    Covers the row functions themselves: _part1_rows, _cd1_logz_rows and
-    _t_rows at every pair (u, j).  On the same instances it also checks the
-    values of _part1_rows, against sig'softplus(X w) / n for each w, and of
-    _t_rows, against sig't_value / n at every pair.
+    Covers the row functions themselves, on the signed counts (U, S) the
+    estimators pass: _part1_rows, _cd1_logz_rows and _t_rows at every pair
+    (u, j).  On the same instances it also checks the values of _part1_rows,
+    against sig'softplus(X w) / n for each w, and of _t_rows, against
+    sig't_value / n at every pair, and that each row function's values and
+    gradients on (U, S, n) match those on (X, sig, n); with at most 8 rows
+    of at most 4 bits, rows often repeat.
     """
     rng = np.random.default_rng([seed, 5])
     checks = failures = 0
@@ -197,17 +207,27 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
         k = int(rng.integers(1, 5))
         m = int(rng.integers(1, 4))
         X, sig, z = ascent_instance(rng, n, k, m)
+        U, S = signed_counts(X, sig)
         # the w block doubles as one flattened k x m matrix W
         W, w = z[k:].reshape(k, m), z[k:].reshape(m, k)
-        row = (W.reshape(1, -1), X, sig[None], m)
+        row = (W.reshape(1, -1), U, S, n, m)
         gaps = [part1_gradient_gap(X, sig, m, z),
                 rows_gradient_gap(rademacher._cd1_logz_rows, *row)]
-        part1 = rademacher._part1_rows(w, X, np.tile(sig, (m, 1)))[0]
+        part1 = rademacher._part1_rows(w, U, np.tile(S, (m, 1)), n)[0]
         value_gaps = [np.abs(part1 - sig @ rbm.softplus(X @ w.T) / n).max()]
         for u, j in np.ndindex(k, m):
             gaps.append(rows_gradient_gap(rademacher._t_rows, *row, [u], [j]))
             t = rademacher._t_rows(*row, [u], [j])[0][0]
             value_gaps.append(abs(t - sig @ rademacher.t_value(W, u, j, X) / n))
+        # each row function, its points and its trailing arguments
+        calls = [(rademacher._part1_rows, w), (rademacher._cd1_logz_rows, row[0], m),
+                 (rademacher._t_rows, np.repeat(row[0], k * m, axis=0), m,
+                  *np.divmod(np.arange(k * m), m))]
+        value_gaps.append(max(
+            np.abs(a - b).max() for fn, Z, *extra in calls for a, b in zip(
+                fn(Z, U, np.tile(S, (len(Z), 1)), n, *extra),
+                fn(Z, X, np.tile(sig, (len(Z), 1)), n, *extra))
+        ))
         checks += len(gaps) + len(value_gaps)
         failures += sum(gap > 1e-4 for gap in gaps)
         failures += sum(gap > 1e-12 for gap in value_gaps)
@@ -227,7 +247,8 @@ def suite_holder(seed: int = 0) -> SuiteResult:
         data = rbm.BinaryDataset(rng.integers(0, 2, size=(n, d)).astype(float))
         batch = rademacher.sample_sigma_batch(n, 4, int(rng.integers(2**31)))
         brute = (batch.sigma_vectors @ data.samples @ vertices.T).max(axis=1) / n
-        values = rademacher._linear_values(data, batch, radius)
+        U, S = rademacher._signed_counts(data, batch)
+        values = rademacher._linear_values(U, S, n, radius)
         failures += np.abs(values - brute).max() > 1e-12
     return SuiteResult("holder", 200, failures)
 
@@ -244,7 +265,7 @@ def suite_meanfield(seed: int = 0) -> SuiteResult:
         params = _random_machine(rng, 7)
         X, sig, _ = ascent_instance(rng, 5, params.k, params.m)
         W = params.W.reshape(1, -1)
-        value = rademacher._cd1_logz_rows(W, X, sig[None], params.m)[0][0]
+        value = rademacher._cd1_logz_rows(W, *signed_counts(X, sig), 5, params.m)[0][0]
         direct = sig @ [cd1.cd1_log_partition(params, xi) for xi in X] / 5
         checks += 1
         failures += abs(value - direct) > 1e-12

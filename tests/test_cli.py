@@ -14,7 +14,7 @@ import pytest
 import rbmrad as rr
 from conftest import random_params
 from rbmrad import cd1 as cd1_mod
-from rbmrad import cli, fileio
+from rbmrad import cli, fileio, verify
 from rbmrad import rademacher as rad_mod
 from rbmrad import rbm as rbm_mod
 
@@ -511,10 +511,40 @@ class TestVerify:
             "partition": "25",
             "lipschitz": "100000",
             "projection": "1200",
-            "gradient": "297",
+            "gradient": "322",
             "holder": "200",
             "meanfield": "251",
         }
+
+    @pytest.mark.parametrize("suite, least", [
+        ("suite_gradient", 10), ("suite_holder", 50), ("suite_meanfield", 10),
+    ])
+    def test_row_suites_run_on_signed_counts(self, monkeypatch, suite, least):
+        # The suites build their inputs as the estimators do, and their
+        # small samples repeat rows often enough that U and S differ from
+        # the dense sample and signs.
+        exact = rad_mod._signed_counts
+        shapes = []
+
+        def recorded(data, batch):
+            U, S = exact(data, batch)
+            shapes.append((data.n, U.shape[0]))
+            return U, S
+
+        monkeypatch.setattr(rad_mod, "_signed_counts", recorded)
+        assert getattr(verify, suite)(5).passed
+        assert sum(d < n for n, d in shapes) >= least
+
+    def test_miscounted_rows_caught(self, monkeypatch, capsys):
+        # Dividing by the distinct-row count d instead of n is right on a
+        # sample without repeats, so only the suite's repeated rows see it.
+        exact = rad_mod._t_rows
+        monkeypatch.setattr(
+            rad_mod, "_t_rows", lambda Z, U, S, n, *rest: exact(Z, U, S, len(U), *rest)
+        )
+        assert run("verify", "--seed", "5") == 3
+        captured = capsys.readouterr().out
+        assert "failed suites: gradient" in captured
 
     def test_injected_fault_caught(self, monkeypatch, capsys):
         exact = rbm_mod.free_energy_part1

@@ -241,14 +241,14 @@ class TestZeroRadiusValues:
         data = bernoulli_data(np.random.default_rng(3), 13, 4)
         batch = rr.sample_sigma_batch(13, 40, 5)
         spec = rr.ConstraintSpec(B_radius=0.0, W_radius=0.0)
-        X, sig = data.samples, batch.sigma_vectors
-        at_zero = rademacher._part1_rows(np.zeros((40, 4)), X, sig)[0]
+        U, S = rademacher._signed_counts(data, batch)
+        at_zero = rademacher._part1_rows(np.zeros((40, 4)), U, S, 13)[0]
         h = rr.estimate_R_H(data, spec, batch, SMALL_OPT)
         assert np.array_equal(h.per_sigma_values, at_zero)
         p1 = rr.estimate_R_loglik_part1(data, spec, 3, batch, SMALL_OPT)
         assert np.array_equal(p1.per_sigma_values, 3 * at_zero)
         cd1 = rr.estimate_R_cd1_logZ(data, spec, 2, batch, SMALL_OPT)
-        cd1_at_zero = rademacher._cd1_logz_rows(np.zeros((40, 8)), X, sig, 2)[0]
+        cd1_at_zero = rademacher._cd1_logz_rows(np.zeros((40, 8)), U, S, 13, 2)[0]
         assert np.array_equal(cd1.per_sigma_values, cd1_at_zero)
         t = rr.estimate_R_T(data, spec, 2, batch, SMALL_OPT)
         assert np.array_equal(t.per_sigma_values, np.zeros(40))
@@ -392,8 +392,8 @@ class TestAscentGradients:
             sig = np.repeat(rng.choice([-1.0, 1.0], size=(1, n)), rows, axis=0)
             for point in ascent_points(rng, k, m):
                 Z = np.repeat(point, rows, axis=0)
-                analytic = rows_fn(Z, X, sig, m, *extra)[1]
-                fd = central_differences(lambda P: rows_fn(P, X, sig, m, *extra)[0], Z)
+                analytic = rows_fn(Z, X, sig, n, m, *extra)[1]
+                fd = central_differences(lambda P: rows_fn(P, X, sig, n, m, *extra)[0], Z)
                 gap = np.linalg.norm(analytic - fd, axis=1) / np.maximum(
                     1.0, np.linalg.norm(analytic, axis=1)
                 )
@@ -418,7 +418,7 @@ class TestAscentObjectives:
             u, j = all_pairs(k, m)
             rows = rademacher._t_rows(
                 np.repeat(W.reshape(1, -1), u.size, axis=0),
-                X, np.tile(sig, (u.size, 1)), m, u, j,
+                X, np.tile(sig, (u.size, 1)), n, m, u, j,
             )[0]
             expected = [sig @ rr.t_value(W, a, b, X) / n for a, b in zip(u, j)]
             assert np.max(np.abs(rows - expected)) <= 1e-12
@@ -430,7 +430,7 @@ class TestAscentObjectives:
             sig = rng.choice([-1.0, 1.0], size=n)
             W = rng.uniform(-1.0, 1.0, size=(k, m)) / k  # columns inside the ball
             params = rr.RbmParams(W=W, b=np.zeros(k), c=np.zeros(m))
-            row = rademacher._cd1_logz_rows(W.reshape(1, -1), X, sig[None], m)[0]
+            row = rademacher._cd1_logz_rows(W.reshape(1, -1), X, sig[None], n, m)[0]
             expected = sum(
                 s * rr.cd1_log_partition(params, x) for s, x in zip(sig, X)
             ) / n
@@ -493,9 +493,9 @@ class TestBatchIndependence:
         X10 = rng.integers(0, 2, size=(n, 10)).astype(float)
         W10 = rng.uniform(-0.3, 0.3, size=(rows, 10))
         cases = [
-            lambda r: rademacher._t_rows(Z[r], X, sig[r], m, u[r], j[r]),
-            lambda r: rademacher._cd1_logz_rows(Z[r], X, sig[r], m),
-            lambda r: rademacher._part1_rows(W10[r], X10, sig[r]),
+            lambda r: rademacher._t_rows(Z[r], X, sig[r], n, m, u[r], j[r]),
+            lambda r: rademacher._cd1_logz_rows(Z[r], X, sig[r], n, m),
+            lambda r: rademacher._part1_rows(W10[r], X10, sig[r], n),
         ]
         for rows_fn in cases:
             value, grad = rows_fn(slice(None))
@@ -513,6 +513,59 @@ class TestBatchIndependence:
             assert np.array_equal(rademacher._project_l1_rows(V[r:r + 1], 1.0)[0], P[r])
 
 
+class TestSignedCounts:
+    """Every estimator sees the sample as its distinct rows and signed counts."""
+
+    ESTIMATES = TestBatchIndependence.ESTIMATES
+
+    def test_sample_without_repeats_passes_through(self, rng):
+        data = rr.BinaryDataset(np.eye(6)[rng.permutation(6)])
+        batch = rr.sample_sigma_batch(6, 5, 1)
+        U, S = rademacher._signed_counts(data, batch)
+        assert U is data.samples and S is batch.sigma_vectors
+
+    def test_counts_against_a_loop(self, rng):
+        data = bernoulli_data(rng, 40, 3)
+        batch = rr.sample_sigma_batch(40, 7, 2)
+        U, S = rademacher._signed_counts(data, batch)
+        X, sig = data.samples, batch.sigma_vectors
+        first = [next(i for i, x in enumerate(X) if np.array_equal(x, u)) for u in U]
+        assert U.shape[0] == np.unique(X, axis=0).shape[0] < 40
+        assert first == sorted(first)
+        for c, u in enumerate(U):
+            copies = (X == u).all(axis=1)
+            assert np.array_equal(S[:, c], sig[:, copies].sum(axis=1))
+
+    def test_linear_values_on_repeats_equal_dense(self, rng):
+        # S @ U and sigma @ X are the same exact integer sums.
+        data = bernoulli_data(rng, 30, 3)
+        batch = rr.sample_sigma_batch(30, 50, 3)
+        U, S = rademacher._signed_counts(data, batch)
+        assert U.shape[0] < 30
+        top = np.abs(batch.sigma_vectors @ data.samples).max(axis=1)
+        for radius in (0.3, 1.0, 2.5):
+            assert np.array_equal(rademacher._linear_values(U, S, 30, radius),
+                                  radius * top / 30)
+        spec = rr.ConstraintSpec(B_radius=0.7, W_radius=1.3)
+        assert np.array_equal(rr.estimate_R_F(data, spec, batch).per_sigma_values,
+                              0.7 * top / 30)
+        assert np.array_equal(rr.estimate_R_G(data, spec, batch).per_sigma_values,
+                              1.3 * top / 30)
+
+    @pytest.mark.parametrize("class_name", ESTIMATES)
+    def test_doubled_sample_gives_identical_values(self, rng, class_name):
+        # Stacking the sample and each sigma vector on themselves doubles S
+        # and n, which scales every sum exactly by 2.
+        estimate = self.ESTIMATES[class_name]
+        data = bernoulli_data(rng, 13, 4)
+        spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
+        batch = rr.sample_sigma_batch(13, 5, 9)
+        doubled = rr.RademacherBatch(np.hstack([batch.sigma_vectors] * 2), batch.seed)
+        twice = rr.BinaryDataset(np.vstack([data.samples] * 2))
+        assert (estimate(twice, spec, doubled).per_sigma_values
+                == estimate(data, spec, batch).per_sigma_values)
+
+
 class TestAscentDriver:
     """_ascend steps along the gradient stored with each row's current point."""
 
@@ -527,20 +580,21 @@ class TestAscentDriver:
         return lambda Z, sig, rows: (-((Z - c) ** 2 * a).sum(axis=1), -2.0 * a * (Z - c))
 
     @staticmethod
-    def ascend(rng, objective, iterations):
-        # 16 sigma vectors of one row each; a row is one column of k = 4
-        # entries in the unit l1 ball.
-        data = bernoulli_data(rng, 5, 4)
+    def ascend(objective, iterations):
+        # 16 sigma vectors of one row each, as their own signed counts; a
+        # row is one column of k = 4 entries in the unit l1 ball.
         spec = rr.ConstraintSpec(B_radius=0.0, W_radius=1.0)
         opt = rr.OptimizerSettings(restarts=4, iterations=iterations)
         batch = rr.sample_sigma_batch(5, 16, 2)
-        return rademacher._ascend(data, spec, batch, opt, 1, 1, objective)
+        return rademacher._ascend(
+            batch.sigma_vectors, batch.seed, spec, opt, 4, 1, 1, objective
+        )
 
-    def test_reaches_maximum_of_concave_quadratic(self, rng):
-        values = self.ascend(rng, self.quadratic(self.A, self.C), 500)
+    def test_reaches_maximum_of_concave_quadratic(self):
+        values = self.ascend(self.quadratic(self.A, self.C), 500)
         assert np.all(values <= 0.0) and np.all(values >= -1e-6)
 
-    def test_step_grows_on_success(self, rng):
+    def test_step_grows_on_success(self):
         # A shallow quadratic whose maximum lies 0.56 to 1.09 from the
         # starts.  With steps of at most 0.1, each step closes at most
         # 2 * 0.01 * 0.1 = 0.2% of the distance along the flattest axis, so
@@ -553,11 +607,11 @@ class TestAscentDriver:
             calls.append(Z.shape[0])
             return shallow(Z, sig, rows)
 
-        values = self.ascend(rng, counted, 500)
+        values = self.ascend(counted, 500)
         assert len(calls) <= 1 + 100  # the start, the steps
         assert np.all(values <= 0.0) and np.all(values >= -1e-6)
 
-    def test_rows_retire_when_the_step_underflows(self, rng):
+    def test_rows_retire_when_the_step_underflows(self):
         # A flat objective never accepts a step, so every row halves its
         # step 44 times (0.1 * 2**-44 < _MIN_STEP) and retires long before
         # the cap of 200 iterations.  Its gradient -z points into the ball
@@ -569,12 +623,12 @@ class TestAscentDriver:
             calls.append(Z.shape[0])
             return np.zeros(Z.shape[0]), -Z
 
-        values = self.ascend(rng, flat, 200)
+        values = self.ascend(flat, 200)
         assert len(calls) == 1 + 44  # the start, the steps
         assert set(calls) == {16}
         assert np.array_equal(values, np.zeros(16))
 
-    def test_rows_retire_at_a_fixed_point(self, rng):
+    def test_rows_retire_at_a_fixed_point(self):
         # A linear objective c'z is largest at the vertex -e_1 of the ball.
         # Once a row sits there, its projected candidate is that vertex
         # again, bit for bit, and the row retires at once rather than
@@ -586,11 +640,11 @@ class TestAscentDriver:
             calls.append(Z.shape[0])
             return Z @ c, np.tile(c, (Z.shape[0], 1))
 
-        values = self.ascend(rng, linear, 200)
+        values = self.ascend(linear, 200)
         assert np.array_equal(values, np.full(16, 0.4))
         assert len(calls) <= 1 + 15
 
-    def test_retired_rows_leave_the_block(self, rng):
+    def test_retired_rows_leave_the_block(self):
         # Rows 0-7 are flat, with the inward gradient -z of the underflow
         # test above, and retire after 44 halvings.  Rows 8-15 follow
         # a steep quartic with its maximum at c: its curvature vanishes
@@ -608,7 +662,7 @@ class TestAscentDriver:
             grad = np.where(flat[rows, None], -Z, -4.0 * a * (Z - c) ** 3)
             return value, grad
 
-        values = self.ascend(rng, mixed, 500)
+        values = self.ascend(mixed, 500)
         sigma = rr.sample_sigma_batch(5, 16, 2).sigma_vectors
         sizes = [rows.size for rows, _ in seen]
         assert sizes[0] == 16
@@ -618,7 +672,7 @@ class TestAscentDriver:
         assert np.array_equal(values[flat], np.full(8, 0.25))
         assert np.all(values[~flat] <= 0.0) and np.all(values[~flat] >= -1e-6)
 
-    def test_rows_at_the_cap_report_their_last_accepted_value(self, rng):
+    def test_rows_at_the_cap_report_their_last_accepted_value(self):
         # 4 sigma vectors with blocks of 4 rows.  Rows 1 and 2 of each block
         # gain 0.1% on every call, whatever their point, so they are still
         # active after the 200th step; rows 0 and 3 are flat and retire
@@ -637,11 +691,12 @@ class TestAscentDriver:
             calls.append((rows.copy(), value))
             return value, np.where(drifting[rows, None], 0.0, np.ones_like(Z))
 
-        data = bernoulli_data(rng, 5, 4)
         spec = rr.ConstraintSpec(B_radius=0.0, W_radius=1.0)
         opt = rr.OptimizerSettings(restarts=4, iterations=200)
         batch = rr.sample_sigma_batch(5, 4, 2)
-        values = rademacher._ascend(data, spec, batch, opt, 1, 4, objective)
+        values = rademacher._ascend(
+            batch.sigma_vectors, batch.seed, spec, opt, 4, 1, 4, objective
+        )
         assert len(calls) == 1 + 200
         assert np.array_equal(calls[-1][0], np.flatnonzero(drifting))
         accepted = calls[0][1].copy()
