@@ -4,27 +4,33 @@ Subcommands: gen-data, bounds, estimate, compare, train, verify.  Exit
 codes: 0 success, 2 configuration error, 3 verification-suite failure,
 4 I/O error.  The argument parser is built once per process, so repeated
 in-process main() calls share it; each parse returns a fresh namespace.
+
+estimate and compare read each class from rademacher.CLASSES.  estimate
+passes the class's estimator what its signature names, in that order,
+and reads the members file only for an estimator that takes members.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import bounds as bc
-from . import fileio, verify
+from . import fileio
 from .cd1 import train_cd1
 from .config import ConfigError, ExperimentConfig, load_config
+# cmd_estimate calls each estimator through its global here, so a wrapper
+# set on that global sees every `estimate` call.
 from .rademacher import (
     CLASS_NAMES,
+    CLASSES,
     ConstraintSpec,
     OptimizerSettings,
     estimate_R_cd1_logZ,
@@ -125,59 +131,6 @@ def _members(cfg: ExperimentConfig) -> list:
     return members
 
 
-@dataclass(frozen=True)
-class HypothesisClass:
-    """How the CLI estimates one class and which closed form it is held to.
-
-    estimate(cfg, data, spec, batch, opt) returns the EstimateReport, whose
-    inputs are the estimate CSV's input columns; bounds are the bounds.csv
-    names whose values are summed into the comparator, none when the class
-    has no closed form.  compare holds the estimate to every bound row
-    whose inputs equal its columns (see _match).
-    """
-
-    estimate: Callable
-    bounds: tuple = ()
-
-
-# The lambdas look the estimators up at call time, so a wrapper installed
-# on this module's globals sees every call.
-CLASSES = {
-    "F": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_F(data, spec, batch),
-        bounds=("LEMMA1",),
-    ),
-    "G": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_G(data, spec, batch),
-        bounds=("REMARK2",),
-    ),
-    "H": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_H(data, spec, batch, opt),
-        bounds=("LEMMA1", "REMARK2"),
-    ),
-    "LOGLIK_PART1": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_loglik_part1(
-            data, spec, cfg.m, batch, opt
-        ),
-        bounds=("THEOREM1",),
-    ),
-    "T": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_T(data, spec, cfg.m, batch, opt),
-    ),
-    "CD1_LOGZ": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_cd1_logZ(
-            data, spec, cfg.m, batch, opt
-        ),
-        bounds=("COROLLARY1",),
-    ),
-    "FINITE_T": HypothesisClass(
-        lambda cfg, data, spec, batch, opt: estimate_R_finite_T(
-            data, _members(cfg), batch
-        ),
-        bounds=("LEMMA4_FINITE",),
-    ),
-}
-
 # bounds.csv inputs whose estimate CSV column has another name.
 _ESTIMATE_COLUMN = {"B": "B_radius", "W": "W_radius", "d": "k"}
 _ESTIMATE_COLUMNS = set(fileio.ESTIMATE_HEADER.split(","))
@@ -186,12 +139,19 @@ _ESTIMATE_COLUMNS = set(fileio.ESTIMATE_HEADER.split(","))
 def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
     if class_name not in CLASSES:
         raise ConfigError(f"unknown class name {class_name!r}")
-    cls = CLASSES[class_name]
+    estimator = CLASSES[class_name].estimator
     data = fileio.read_dataset(_path(cfg, "dataset.txt"))
-    batch = sample_sigma_batch(data.n, cfg.num_sigma, cfg.seed)
-    spec = ConstraintSpec(B_radius=cfg.B_radius, W_radius=cfg.W_radius)
-    opt = OptimizerSettings(restarts=cfg.restarts, iterations=cfg.iterations)
-    report = cls.estimate(cfg, data, spec, batch, opt)
+    supplied = {
+        "data": data,
+        "spec": ConstraintSpec(B_radius=cfg.B_radius, W_radius=cfg.W_radius),
+        "m": cfg.m,
+        "batch": sample_sigma_batch(data.n, cfg.num_sigma, cfg.seed),
+        "opt": OptimizerSettings(restarts=cfg.restarts, iterations=cfg.iterations),
+    }
+    names = inspect.signature(estimator).parameters
+    if "members" in names:
+        supplied["members"] = _members(cfg)
+    report = globals()[estimator.__name__](*(supplied[name] for name in names))
     out = _path(cfg, f"estimate_{class_name}.csv")
     fileio.write_estimate_csv(out, [fileio.estimate_row(report)])
     print(f"wrote {out}")
@@ -288,6 +248,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
+    from . import verify  # only this command needs it
+
     results = verify.run_all(cfg.seed)
     failed = [r for r in results if not r.passed]
     for result in results:

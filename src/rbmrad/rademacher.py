@@ -27,28 +27,21 @@ i), and all restarts and sigma vectors share one row-per-problem block.
 Each product over U runs one ascent row or, in FINITE_T, one sigma vector
 at a time, the integer sums of S and of F's and G's S @ U are exact, and
 the projection treats each row alone: no value depends on its batch.
+
+CLASSES is the one table of classes: each name maps to its inner-sup
+kind, its estimate_R_* function and the bounds.csv names summed into its
+comparator.  CLASS_NAMES is the table's order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .rbm import BinaryDataset, sigmoid, softplus
-
-# How each class's inner sup is computed, in the order the CLI lists them.
-INNER_SUP_KIND = {
-    "F": "analytic",
-    "G": "analytic",
-    "H": "optimized",
-    "LOGLIK_PART1": "optimized",
-    "T": "optimized",
-    "CD1_LOGZ": "optimized",
-    "FINITE_T": "finite-max",
-}
-CLASS_NAMES = tuple(INNER_SUP_KIND)
 
 _LN2 = math.log(2.0)  # softplus(0); ln 2 * (1 / ln 2) rounds to exactly 1
 _STEP_SIZE = 0.1  # initial ascent step of every row
@@ -129,7 +122,7 @@ class EstimateReport:
     inputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.class_name not in INNER_SUP_KIND:
+        if self.class_name not in CLASSES:
             raise ValueError(f"unknown class name {self.class_name!r}")
         values = tuple(map(float, self.per_sigma_values))
         if not values:
@@ -145,7 +138,7 @@ class EstimateReport:
 
     @property
     def inner_sup_kind(self) -> str:
-        return INNER_SUP_KIND[self.class_name]
+        return CLASSES[self.class_name].kind
 
     @property
     def mean(self) -> float:
@@ -567,3 +560,32 @@ def count_quantized_behaviors(
     table = np.stack([t_value(W, u, j, data.samples) for W in grid])
     quantized = np.round(table / epsilon).astype(np.int64)
     return int(np.unique(quantized, axis=0).shape[0])
+
+
+@dataclass(frozen=True)
+class HypothesisClass:
+    """One row of the class table.
+
+    kind says how the inner sup is computed; estimator is the estimate_R_*
+    function; bounds are the bounds.csv names whose values are summed into
+    the class's comparator, none when it has no closed form.
+    """
+
+    kind: str
+    estimator: Callable
+    bounds: tuple = ()
+
+
+# Every class, in the order the CLI lists them.
+CLASSES = {
+    "F": HypothesisClass("analytic", estimate_R_F, ("LEMMA1",)),
+    "G": HypothesisClass("analytic", estimate_R_G, ("REMARK2",)),
+    "H": HypothesisClass("optimized", estimate_R_H, ("LEMMA1", "REMARK2")),
+    "LOGLIK_PART1": HypothesisClass(
+        "optimized", estimate_R_loglik_part1, ("THEOREM1",)
+    ),
+    "T": HypothesisClass("optimized", estimate_R_T),
+    "CD1_LOGZ": HypothesisClass("optimized", estimate_R_cd1_logZ, ("COROLLARY1",)),
+    "FINITE_T": HypothesisClass("finite-max", estimate_R_finite_T, ("LEMMA4_FINITE",)),
+}
+CLASS_NAMES = tuple(CLASSES)

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process via cli.main."""
 
 import importlib.util
+import inspect
 import os
 import re
 import shutil
@@ -313,6 +314,20 @@ class TestCompare:
 
     def test_every_class_has_a_table_entry(self):
         assert set(cli.CLASSES) == set(rad_mod.CLASS_NAMES)
+
+    def test_class_table_contract(self, tmp_path, fast_cfg_path):
+        # Each row of rademacher.CLASSES takes only what `estimate` supplies,
+        # names only bounds that `bounds` writes, and its estimator reports
+        # the row's own class and kind.
+        supplied = {"data", "spec", "m", "batch", "opt", "members"}
+        out = tmp_path / "out"
+        run_pipeline(out, fast_cfg_path)
+        written = {row["bound_name"] for row in fileio.read_csv(out / "bounds.csv")}
+        for name, row in rad_mod.CLASSES.items():
+            assert set(inspect.signature(row.estimator).parameters) <= supplied
+            assert set(row.bounds) <= written
+            (est,) = fileio.read_csv(out / f"estimate_{name}.csv")
+            assert (est["class_name"], est["inner_sup_kind"]) == (name, row.kind)
 
     def test_pipeline_rows_and_finite_t_bound(self, tmp_path, fast_cfg_path, capsys):
         out = tmp_path / "out"
