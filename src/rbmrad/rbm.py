@@ -8,7 +8,11 @@ enumeration splits the visible bits into a low and a high half, so its
 working tables grow with 2^ceil(k/2) * m and only its output, one value
 per configuration, grows with 2^k.  That one table of per-configuration
 values gives ln Z, the exact distribution and every row's ln p(x), read
-at the row's configuration index.  Enumeration guards reject sizes where
+at the row's configuration index, and each routine works in it in place:
+ln Z max-shifts and exponentiates it (log_partition_factorized, and
+dataset_log_likelihoods after it reads its rows' entries), exact_distribution
+then divides it by its sum and returns a copy, and sample_dataset turns
+those probabilities into its CDF.  Enumeration guards reject sizes where
 the tables stop fitting a desk-scale budget.
 """
 
@@ -40,11 +44,16 @@ def softplus(g):
     return np.maximum(g, 0.0) + np.log1p(np.exp(-np.abs(g)))
 
 
+def _logsumexp_inplace(v: np.ndarray) -> float:
+    """ln sum_i e^(v_i); the float array v is left holding e^(v_i - max v)."""
+    a = v.max()
+    np.subtract(v, a, out=v)
+    return float(a + np.log(np.exp(v, out=v).sum()))
+
+
 def logsumexp(v) -> float:
     """ln sum_i e^(v_i) over all entries of v, shifted by the largest one."""
-    a = np.max(v)
-    shifted = np.subtract(v, a)
-    return float(a + np.log(np.exp(shifted, out=shifted).sum()))
+    return _logsumexp_inplace(np.array(v, dtype=float))
 
 
 def sigmoid(g):
@@ -118,6 +127,17 @@ class BinaryDataset:
         object.__setattr__(self, "k", k)
 
 
+def _check_probabilities(probs: np.ndarray) -> None:
+    # min and max scan the table without building boolean copies of it; the
+    # negated comparison also rejects NaN.
+    if probs.ndim != 1:
+        raise ValueError("probabilities must be a vector")
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if abs(probs.sum() - 1.0) > 1e-10:
+        raise ValueError("probabilities must sum to 1 within 1e-10")
+
+
 @dataclass(frozen=True)
 class ExactDistribution:
     """Exact visible-configuration probabilities plus ln Z."""
@@ -127,12 +147,7 @@ class ExactDistribution:
 
     def __post_init__(self):
         probs = _as_float_matrix(self.probabilities, "probabilities")
-        if probs.ndim != 1:
-            raise ValueError("probabilities must be a vector")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(probs.sum() - 1.0) > 1e-10:
-            raise ValueError("probabilities must sum to 1 within 1e-10")
+        _check_probabilities(probs)
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "log_partition", float(self.log_partition))
@@ -224,7 +239,7 @@ def _visible_values(params: RbmParams) -> np.ndarray:
 
 def log_partition_factorized(params: RbmParams) -> float:
     """ln Z via the factorized hidden sum and visible enumeration."""
-    return float(logsumexp(_visible_values(params)))
+    return _logsumexp_inplace(_visible_values(params))
 
 
 def log_partition_bruteforce(params: RbmParams) -> float:
@@ -251,7 +266,8 @@ def _log_likelihoods(params: RbmParams, X: np.ndarray) -> np.ndarray:
     # table gives both its part 1 and ln Z.
     values = _visible_values(params)
     idx = (X @ 2.0 ** np.arange(params.k)).astype(np.intp)
-    return values[idx] - logsumexp(values)
+    rows = values[idx]
+    return rows - _logsumexp_inplace(values)
 
 
 def exact_log_likelihood(params: RbmParams, x) -> float:
@@ -260,11 +276,17 @@ def exact_log_likelihood(params: RbmParams, x) -> float:
     return float(_log_likelihoods(params, xv[None])[0])
 
 
+def _probability_table(params: RbmParams) -> tuple[np.ndarray, float]:
+    # The enumeration's own table, turned into probabilities in place.
+    table = _visible_values(params)
+    log_z = _logsumexp_inplace(table)
+    table /= table.sum()
+    return table, log_z
+
+
 def exact_distribution(params: RbmParams) -> ExactDistribution:
     """Probability table over all 2^k visible configurations."""
-    values = _visible_values(params)
-    log_z = float(logsumexp(values))
-    return ExactDistribution(np.exp(values - log_z), log_z)
+    return ExactDistribution(*_probability_table(params))
 
 
 def dataset_log_likelihoods(params: RbmParams, data: BinaryDataset) -> np.ndarray:
@@ -278,8 +300,9 @@ def sample_dataset(params: RbmParams, n: int, seed: int) -> BinaryDataset:
     """n i.i.d. exact draws via inverse CDF on the 2^k probability table."""
     if n < 1:
         raise ValueError("n must be positive")
-    dist = exact_distribution(params)
-    cdf = np.cumsum(dist.probabilities)
+    probs, _ = _probability_table(params)
+    _check_probabilities(probs)
+    cdf = np.cumsum(probs, out=probs)
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cdf, rng.random(n), side="right")
     idx = np.minimum(idx, len(cdf) - 1)

@@ -52,6 +52,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             rr.ExactDistribution(np.array([0.5, 0.4]), 0.0)
 
+    def test_distribution_rejects_out_of_range(self):
+        # Sums to 1, so only the range check can refuse it.
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            rr.ExactDistribution(np.array([1.5, -0.5]), 0.0)
+
 
 class TestEnergy:
     def test_all_zero_state(self, rng):
@@ -271,6 +276,21 @@ class TestSampleDataset:
         b = rr.sample_dataset(p, 100, 5)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("k", [1, 3, 7, 10])
+    def test_draws_invert_the_public_distribution(self, rng, k):
+        # Sampling builds its CDF in the enumeration's table; its draws must
+        # be those of the table exact_distribution returns, whose ln Z must
+        # be log_partition_factorized's bit for bit.
+        p = random_params(rng, k, 4)
+        dist = rr.exact_distribution(p)
+        n, seed = 500, 11
+        u = np.random.default_rng(seed).random(n)
+        idx = np.searchsorted(np.cumsum(dist.probabilities), u, side="right")
+        idx = np.minimum(idx, 2 ** k - 1)
+        expected = rr.enumerate_configs(k)[idx]
+        assert np.array_equal(rr.sample_dataset(p, n, seed).samples, expected)
+        assert dist.log_partition == rr.log_partition_factorized(p)
+
 
 class TestConventions:
     def test_bit_order(self):
@@ -341,9 +361,14 @@ class TestConventions:
 
 
 class TestMemory:
-    """The split enumeration keeps k = m = 20 far below a 2^20 x 20 table."""
+    """At k = m = 20 the exact routines hold the enumeration's one 2^20 table.
 
-    LIMIT = 64 * 2 ** 20
+    ln Z, sampling and row log-likelihoods work in that table in place, so
+    each stays below two tables; exact_distribution returns a defensive copy
+    of it and stays below three.
+    """
+
+    TABLE = 8 * 2 ** 20
 
     @staticmethod
     def peak_bytes(fn, *args):
@@ -354,10 +379,20 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_log_partition_peak(self, rng):
-        p = random_params(rng, 20, 20, scale=0.25)
-        assert self.peak_bytes(rr.log_partition_factorized, p) < self.LIMIT
+    @pytest.fixture
+    def params(self, rng):
+        return random_params(rng, 20, 20, scale=0.25)
 
-    def test_sample_dataset_peak(self, rng):
-        p = random_params(rng, 20, 20, scale=0.25)
-        assert self.peak_bytes(rr.sample_dataset, p, 1000, 3) < self.LIMIT
+    def test_log_partition_peak(self, params):
+        assert self.peak_bytes(rr.log_partition_factorized, params) < 2 * self.TABLE
+
+    def test_sample_dataset_peak(self, params):
+        assert self.peak_bytes(rr.sample_dataset, params, 1000, 3) < 2 * self.TABLE
+
+    def test_dataset_log_likelihoods_peak(self, params, rng):
+        data = rr.BinaryDataset(rng.integers(0, 2, size=(1000, 20)))
+        peak = self.peak_bytes(rr.dataset_log_likelihoods, params, data)
+        assert peak < 2 * self.TABLE
+
+    def test_exact_distribution_peak(self, params):
+        assert self.peak_bytes(rr.exact_distribution, params) < 3 * self.TABLE
