@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .rademacher import OptimizerSettings
+from .rademacher import ConstraintSpec, OptimizerSettings
 
 DATA_SOURCES = ("bernoulli-half", "ground-truth-rbm")
 
@@ -40,11 +40,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         try:
             OptimizerSettings(self.restarts, self.iterations)
+            ConstraintSpec(self.B_radius, self.W_radius)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for name in ("B_radius", "W_radius", "learning_rate"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and nonnegative")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and nonnegative")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
         if self.seed < 0:

@@ -208,7 +208,7 @@ def project_l1(v, radius: float) -> np.ndarray:
 def _signed_counts(data: BinaryDataset, batch: RademacherBatch):
     """The sample's d distinct rows U, in first-occurrence order, and the
     N x d signed counts S: S[i, c] sums sigma_i over the copies of U[c], in
-    exact integers.  A sample without repeats returns as (X, sigma).
+    exact integers, scattered by one O(N n) bincount for every sample.
     """
     X, sig = data.samples, batch.sigma_vectors
     if sig.shape[1] != data.n:
@@ -217,12 +217,12 @@ def _signed_counts(data: BinaryDataset, batch: RademacherBatch):
     # inverse's shape differs between numpy 1.x and 2.0, hence the reshape.
     rows = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * data.k)))
     _, first, inverse = np.unique(rows[:, 0], return_index=True, return_inverse=True)
-    if first.size == data.n:
-        return X, sig
     order = np.argsort(first)
     label = np.argsort(order)[inverse.reshape(-1)]
-    membership = (label[:, None] == np.arange(first.size)).astype(float)
-    return X[first[order]], sig @ membership
+    N, d = sig.shape[0], first.size
+    bins = (np.arange(N)[:, None] * d + label).ravel()  # i * d + label[j]
+    S = np.bincount(bins, weights=sig.ravel(), minlength=N * d).reshape(N, d)
+    return X[first[order]], S
 
 
 def _inputs(data: BinaryDataset, spec: ConstraintSpec, **more) -> dict:

@@ -1,6 +1,7 @@
 """Estimator contracts: analytic sups, the optimizer, projections, reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,11 +519,22 @@ class TestSignedCounts:
 
     ESTIMATES = TestBatchIndependence.ESTIMATES
 
-    def test_sample_without_repeats_passes_through(self, rng):
+    @staticmethod
+    def repeated_sample(rng):
+        # n = 5,000 rows of k = 16 with its last row forced to repeat its
+        # first: about 4,800 distinct rows, so an n x d float intermediate
+        # would cost about 180 MiB.
+        X = rng.integers(0, 2, size=(5000, 16)).astype(float)
+        X[-1] = X[0]
+        return rr.BinaryDataset(X)
+
+    def test_sample_without_repeats_keeps_its_values(self, rng):
         data = rr.BinaryDataset(np.eye(6)[rng.permutation(6)])
         batch = rr.sample_sigma_batch(6, 5, 1)
         U, S = rademacher._signed_counts(data, batch)
-        assert U is data.samples and S is batch.sigma_vectors
+        assert np.array_equal(U, data.samples)
+        assert np.array_equal(S, batch.sigma_vectors)
+        assert S.dtype == np.float64 and S.flags.c_contiguous
 
     def test_counts_against_a_loop(self, rng):
         data = bernoulli_data(rng, 40, 3)
@@ -538,19 +550,34 @@ class TestSignedCounts:
 
     def test_linear_values_on_repeats_equal_dense(self, rng):
         # S @ U and sigma @ X are the same exact integer sums.
-        data = bernoulli_data(rng, 30, 3)
-        batch = rr.sample_sigma_batch(30, 50, 3)
-        U, S = rademacher._signed_counts(data, batch)
-        assert U.shape[0] < 30
-        top = np.abs(batch.sigma_vectors @ data.samples).max(axis=1)
-        for radius in (0.3, 1.0, 2.5):
-            assert np.array_equal(rademacher._linear_values(U, S, 30, radius),
-                                  radius * top / 30)
         spec = rr.ConstraintSpec(B_radius=0.7, W_radius=1.3)
-        assert np.array_equal(rr.estimate_R_F(data, spec, batch).per_sigma_values,
-                              0.7 * top / 30)
-        assert np.array_equal(rr.estimate_R_G(data, spec, batch).per_sigma_values,
-                              1.3 * top / 30)
+        for data in (bernoulli_data(rng, 30, 3), self.repeated_sample(rng)):
+            n = data.n
+            batch = rr.sample_sigma_batch(n, 50, 3)
+            U, S = rademacher._signed_counts(data, batch)
+            assert U.shape[0] < n
+            top = np.abs(batch.sigma_vectors @ data.samples).max(axis=1)
+            for radius in (0.3, 1.0, 2.5):
+                assert np.array_equal(rademacher._linear_values(U, S, n, radius),
+                                      radius * top / n)
+            assert np.array_equal(rr.estimate_R_F(data, spec, batch).per_sigma_values,
+                                  0.7 * top / n)
+            assert np.array_equal(rr.estimate_R_G(data, spec, batch).per_sigma_values,
+                                  1.3 * top / n)
+
+    def test_large_sample_with_a_repeat_peak(self, rng):
+        # The counts cost O(N n) memory: the bound admits a few copies of
+        # sigma and X, far below one n x d float array.
+        data = self.repeated_sample(rng)
+        batch = rr.sample_sigma_batch(data.n, 10, 4)
+        spec = rr.ConstraintSpec(B_radius=1.0, W_radius=1.0)
+        tracemalloc.start()
+        try:
+            rr.estimate_R_F(data, spec, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (batch.sigma_vectors.nbytes + data.samples.nbytes)
 
     @pytest.mark.parametrize("class_name", ESTIMATES)
     def test_doubled_sample_gives_identical_values(self, rng, class_name):
