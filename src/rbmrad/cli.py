@@ -19,6 +19,7 @@ import itertools
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -116,7 +117,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     for vc in cfg.vc_values:
         add("SAUER_SHELAH", bc.sauer_shelah_ln_card, vc=vc, n=n)
         add("COROLLARY1", bc.bound_corollary1, W=W, k=k, m=m, n=n, vc=vc)
-    fileio.write_bounds_csv(_path(cfg, "bounds.csv"), rows)
+    fileio.write_csv(_path(cfg, "bounds.csv"), fileio.BOUNDS_HEADER, rows)
     print(f"wrote {_path(cfg, 'bounds.csv')}")
     if skipped:
         print(f"skipped {len(skipped)} row(s)", file=sys.stderr)
@@ -153,7 +154,7 @@ def cmd_estimate(cfg: ExperimentConfig, class_name: str) -> int:
         supplied["members"] = _members(cfg)
     report = globals()[estimator.__name__](*(supplied[name] for name in names))
     out = _path(cfg, f"estimate_{class_name}.csv")
-    fileio.write_estimate_csv(out, [fileio.estimate_row(report)])
+    fileio.write_csv(out, fileio.ESTIMATE_HEADER, [fileio.estimate_row(report)])
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -217,7 +218,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             bound_value = sum(hit["value"] for hit in combo)
             rows.append(_comparison(est, "+".join(cls.bounds), bound_value))
 
-    fileio.write_comparison_csv(_path(cfg, "comparison.csv"), rows)
+    fileio.write_csv(_path(cfg, "comparison.csv"), fileio.COMPARISON_HEADER, rows)
     print(f"wrote {_path(cfg, 'comparison.csv')}")
     return EXIT_OK
 
@@ -238,7 +239,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     trace = train_cd1(
         init, data, cfg.epochs, cfg.learning_rate, cfg.seed, cfg.audit_every
     )
-    fileio.write_trace_csv(_path(cfg, "trace.csv"), trace)
+    fileio.write_csv(_path(cfg, "trace.csv"), fileio.TRACE_HEADER, map(asdict, trace))
     print(f"wrote {_path(cfg, 'trace.csv')}")
     print(
         f"mean exact log-likelihood: initial {trace[0].mean_exact_loglik:.6f} "

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
+from .cd1 import _check_learning_rate
 from .rademacher import ConstraintSpec, OptimizerSettings
 
 DATA_SOURCES = ("bernoulli-half", "ground-truth-rbm")
@@ -41,10 +41,9 @@ class ExperimentConfig:
         try:
             OptimizerSettings(self.restarts, self.iterations)
             ConstraintSpec(self.B_radius, self.W_radius)
+            _check_learning_rate(self.learning_rate)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be finite and nonnegative")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
         if self.seed < 0:

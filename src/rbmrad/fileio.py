@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import asdict
 
 import numpy as np
 
-from .cd1 import TrainingTrace
 from .rademacher import EstimateReport
 from .rbm import BinaryDataset, RbmParams
 
@@ -84,6 +82,18 @@ def _tagged(line: str, *tags: str) -> list[int]:
     return [int(value) for value in match.groups()]
 
 
+def _real_lines(rows) -> list[str]:
+    return [" ".join(fmt_real(v) for v in row) for row in rows]
+
+
+def _read_block(lines, k: int, m: int, error: str) -> np.ndarray:
+    """The k x m reals of a weight block; ValueError(error) if empty or misshapen."""
+    rows = [ln.split() for ln in lines]
+    if not rows or len(rows) != k or any(len(row) != m for row in rows):
+        raise ValueError(error)
+    return np.array([[float(v) for v in row] for row in rows])
+
+
 def write_dataset(path, data: BinaryDataset) -> None:
     lines = [f"k={data.k} n={data.n}"]
     for row in data.samples:
@@ -106,12 +116,8 @@ def read_dataset(path) -> BinaryDataset:
 
 
 def write_params(path, params: RbmParams) -> None:
-    lines = [f"k={params.k} m={params.m}"]
-    for row in params.W:
-        lines.append(" ".join(fmt_real(v) for v in row))
-    lines.append(" ".join(fmt_real(v) for v in params.b))
-    lines.append(" ".join(fmt_real(v) for v in params.c))
-    _write_lines(path, lines)
+    rows = _real_lines([*params.W, params.b, params.c])
+    _write_lines(path, [f"k={params.k} m={params.m}", *rows])
 
 
 def read_params(path) -> RbmParams:
@@ -119,9 +125,8 @@ def read_params(path) -> RbmParams:
     k, m = _tagged(lines[0], "k", "m")
     if len(lines) != k + 3:
         raise ValueError(f"expected {k} weight rows plus b and c lines")
-    W = np.array([[float(v) for v in lines[1 + i].split()] for i in range(k)])
-    if W.shape != (k, m):
-        raise ValueError(f"malformed weight block: expected {k} rows of {m} weights")
+    error = f"malformed weight block: expected {k} rows of {m} weights"
+    W = _read_block(lines[1:k + 1], k, m, error)
     b = np.array([float(v) for v in lines[k + 1].split()])
     c = np.array([float(v) for v in lines[k + 2].split()])
     return RbmParams(W=W, b=b, c=c)
@@ -139,9 +144,7 @@ def write_members(path, members) -> None:
             raise ValueError("all member matrices must share one shape")
         if not np.isfinite(W).all():
             raise ValueError("member weights must be finite")
-        lines.append(f"u={u} j={j}")
-        for row in W:
-            lines.append(" ".join(fmt_real(v) for v in row))
+        lines += [f"u={u} j={j}", *_real_lines(W)]
     _write_lines(path, lines)
 
 
@@ -154,22 +157,20 @@ def read_members(path) -> list:
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines, found {len(lines)}")
     members = []
-    pos = 1
-    for _ in range(count):
+    error = "malformed member weight block"
+    for pos in range(1, expected, k + 1):
         u, j = _tagged(lines[pos], "u", "j")
         if not (0 <= u < k and 0 <= j < m):
             raise ValueError(f"member index u={u} j={j} outside k={k} m={m}")
-        W = np.array(
-            [[float(v) for v in lines[pos + 1 + i].split()] for i in range(k)]
-        )
-        if W.shape != (k, m) or not np.isfinite(W).all():
-            raise ValueError("malformed member weight block")
+        W = _read_block(lines[pos + 1:pos + 1 + k], k, m, error)
+        if not np.isfinite(W).all():
+            raise ValueError(error)
         members.append((W, u, j))
-        pos += k + 1
     return members
 
 
-def _write_csv(path, header: str, rows) -> None:
+def write_csv(path, header: str, rows) -> None:
+    """Write dict rows under a header; a key the header lacks is a ValueError."""
     lines = [header]
     columns = header.split(",")
     for row in rows:
@@ -196,10 +197,6 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
-def write_bounds_csv(path, rows) -> None:
-    _write_csv(path, BOUNDS_HEADER, rows)
-
-
 def estimate_row(report: EstimateReport) -> dict:
     """One estimate CSV row: the report and the inputs it ran on, by column."""
     return {
@@ -212,19 +209,3 @@ def estimate_row(report: EstimateReport) -> dict:
         "stderr": report.stderr,
         "seed": report.seed,
     }
-
-
-def write_estimate_csv(path, rows) -> None:
-    _write_csv(path, ESTIMATE_HEADER, rows)
-
-
-def write_comparison_csv(path, rows) -> None:
-    _write_csv(path, COMPARISON_HEADER, rows)
-
-
-def write_trace_csv(path, traces) -> None:
-    _write_csv(path, TRACE_HEADER, [asdict(t) for t in traces])
-
-
-def read_trace_csv(path) -> list[TrainingTrace]:
-    return [TrainingTrace(**row) for row in read_csv(path)]

@@ -41,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bounds import _check_radius
 from .rbm import BinaryDataset, sigmoid, softplus
 
 _LN2 = math.log(2.0)  # softplus(0); ln 2 * (1 / ln 2) rounds to exactly 1
@@ -66,10 +67,7 @@ class ConstraintSpec:
 
     def __post_init__(self):
         for name in ("B_radius", "W_radius"):
-            value = float(getattr(self, name))
-            if not (value >= 0.0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite nonnegative real")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_radius(getattr(self, name), name))
 
 
 @dataclass(frozen=True)

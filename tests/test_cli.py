@@ -471,8 +471,8 @@ class TestTrain:
         first = (out / "trace.csv").read_bytes()
         assert run("train", "--config", str(cfg), "--out", str(out)) == 0
         assert (out / "trace.csv").read_bytes() == first
-        traces = fileio.read_trace_csv(out / "trace.csv")
-        assert [t.epoch for t in traces] == [0, 1, 2, 3]
+        traces = fileio.read_csv(out / "trace.csv")
+        assert [t["epoch"] for t in traces] == [0, 1, 2, 3]
 
     def test_epochs_zero_single_audit(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -480,8 +480,8 @@ class TestTrain:
         out = tmp_path / "out"
         run("gen-data", "--config", str(cfg), "--out", str(out))
         assert run("train", "--config", str(cfg), "--out", str(out)) == 0
-        traces = fileio.read_trace_csv(out / "trace.csv")
-        assert len(traces) == 1 and traces[0].epoch == 0
+        traces = fileio.read_csv(out / "trace.csv")
+        assert len(traces) == 1 and traces[0]["epoch"] == 0
 
     def test_starts_from_init_params_file(self, tmp_path, rng):
         out = tmp_path / "out"
@@ -492,10 +492,10 @@ class TestTrain:
         params = random_params(rng, 4, 2)
         fileio.write_params(init, params)
         assert run("train", "--config", str(cfg), "--out", str(out)) == 0
-        first = fileio.read_trace_csv(out / "trace.csv")[0]
+        first = fileio.read_csv(out / "trace.csv")[0]
         data = fileio.read_dataset(out / "dataset.txt")
         expected = float(rr.dataset_log_likelihoods(params, data).mean())
-        assert (first.epoch, first.mean_exact_loglik) == (0, expected)
+        assert (first["epoch"], first["mean_exact_loglik"]) == (0, expected)
 
     @pytest.mark.parametrize("text", [
         "k=3 m=2\n0 0\n0 0\n0 0\n0 0 0\n0 0\n",

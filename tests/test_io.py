@@ -1,6 +1,7 @@
 """File formats and configuration parsing."""
 
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +73,13 @@ class TestParamsFile:
         with pytest.raises(ValueError):
             fileio.read_params(path)
 
-    def test_weight_block_must_match_header_m(self, tmp_path):
+    @pytest.mark.parametrize("block", [
+        "0.5 0.5\n0.5 0.5",  # every row m - 1 wide
+        "0.5 0.5\n0.5 0.5 0.5 0.5",  # rows m - 1 and m + 1 wide: 2 m reals in all
+    ], ids=["narrow", "ragged"])
+    def test_weight_block_must_match_header_m(self, tmp_path, block):
         path = tmp_path / "narrow.txt"
-        path.write_text("k=2 m=3\n0.5 0.5\n0.5 0.5\n0 0\n0 0\n")
+        path.write_text(f"k=2 m=3\n{block}\n0 0\n0 0\n")
         with pytest.raises(ValueError, match="expected 2 rows of 3 weights"):
             fileio.read_params(path)
 
@@ -150,6 +155,13 @@ class TestMembersFile:
             fileio.write_members(path, members)
         assert not path.exists()
 
+    def test_ragged_weight_block_rejected(self, tmp_path):
+        # Rows m - 1 and m + 1 wide hold the block's k * m reals in all.
+        path = tmp_path / "m.txt"
+        path.write_text("k=2 m=2 count=1\nu=0 j=0\n0.5\n0.25 0.25 0.5\n")
+        with pytest.raises(ValueError, match="malformed member weight block"):
+            fileio.read_members(path)
+
     def test_truncated_rejected(self, tmp_path):
         members = rr.generate_members(3, 2, 2, 1.0, 13)
         path = tmp_path / "m.txt"
@@ -163,7 +175,7 @@ class TestMembersFile:
 class TestAtomicWrite:
     def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.csv"
-        fileio.write_trace_csv(path, [rr.TrainingTrace(0, -3.5, 0.05, 7)])
+        fileio.write_csv(path, fileio.TRACE_HEADER, [{"epoch": 0, "seed": 7}])
         before = path.read_bytes()
 
         def refuse(src, dst):
@@ -171,7 +183,7 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(fileio.os, "replace", refuse)
         with pytest.raises(OSError, match="replace refused"):
-            fileio.write_trace_csv(path, [rr.TrainingTrace(5, -3.0, 0.05, 7)])
+            fileio.write_csv(path, fileio.TRACE_HEADER, [{"epoch": 5, "seed": 7}])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
@@ -185,7 +197,7 @@ class TestCsvFiles:
              "value": rr.sauer_shelah_ln_card(2, 50)},
         ]
         path = tmp_path / "bounds.csv"
-        fileio.write_bounds_csv(path, written)
+        fileio.write_csv(path, fileio.BOUNDS_HEADER, written)
         text = path.read_text()
         assert text.splitlines()[0] == fileio.BOUNDS_HEADER
         rows = fileio.read_csv(path)
@@ -200,7 +212,7 @@ class TestCsvFiles:
         report = rr.estimate_R_F(data, spec, rr.sample_sigma_batch(10, 20, 4))
         row = fileio.estimate_row(report)
         path = tmp_path / "est.csv"
-        fileio.write_estimate_csv(path, [row])
+        fileio.write_csv(path, fileio.ESTIMATE_HEADER, [row])
         back = fileio.read_csv(path)[0]
         assert back["class_name"] == "F"
         assert back["mean"] == report.mean
@@ -217,7 +229,7 @@ class TestCsvFiles:
         row = {**fileio.estimate_row(report), "vc": 2, "W": 1.0}
         path = tmp_path / "est.csv"
         with pytest.raises(ValueError, match="no CSV column for W, vc"):
-            fileio.write_estimate_csv(path, [row])
+            fileio.write_csv(path, fileio.ESTIMATE_HEADER, [row])
         assert list(tmp_path.iterdir()) == []
 
     def test_comparison_roundtrip(self, tmp_path):
@@ -230,7 +242,7 @@ class TestCsvFiles:
             "satisfied": True,
         }]
         path = tmp_path / "cmp.csv"
-        fileio.write_comparison_csv(path, rows)
+        fileio.write_csv(path, fileio.COMPARISON_HEADER, rows)
         assert "true" in path.read_text()
         back = fileio.read_csv(path)[0]
         assert back["satisfied"] == "true"
@@ -242,15 +254,15 @@ class TestCsvFiles:
             rr.TrainingTrace(10, -3.25, 0.05, 7),
         ]
         path = tmp_path / "trace.csv"
-        fileio.write_trace_csv(path, traces)
+        fileio.write_csv(path, fileio.TRACE_HEADER, map(asdict, traces))
         assert path.read_text().splitlines()[0] == fileio.TRACE_HEADER
-        assert fileio.read_trace_csv(path) == traces
+        assert [rr.TrainingTrace(**row) for row in fileio.read_csv(path)] == traces
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(fileio.TRACE_HEADER + "\n1,2\n")
         with pytest.raises(ValueError):
-            fileio.read_trace_csv(path)
+            fileio.read_csv(path)
 
 
     def test_readme_headers_match(self):
