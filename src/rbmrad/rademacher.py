@@ -10,8 +10,9 @@ That is the safe direction when estimates are compared against upper
 bounds.  One loop, _ascend, owns the feasible set of every optimized class
 (k x cols matrices with each column in the l1 ball of radius W): it draws
 the starts, steps and projects; each sigma vector's value is the best
-point its own rows reached, exact at W = 0, where every start is 0.  Its
-steps take Barzilai-Borwein lengths, and only active rows enter each
+point its own rows reached, exact at W = 0, where every start is 0.  A
+row's first step, W / max|g|, moves its largest coordinate one radius;
+later steps take Barzilai-Borwein lengths, and only active rows enter each
 objective call.  An estimator passes only its row function.  The part-1
 family (H, LOGLIK_PART1) bounds b and each w_j by separate balls, so its
 bias term takes the closed-form sup of F and its m hidden units share one
@@ -45,13 +46,12 @@ from .bounds import _check_radius
 from .rbm import BinaryDataset, sigmoid, softplus
 
 _LN2 = math.log(2.0)  # softplus(0); ln 2 * (1 / ln 2) rounds to exactly 1
-_STEP_SIZE = 0.1  # initial ascent step of every row
 _REL_TOL = 1e-9  # a row retires once an accepted move gains relatively less
 _MIN_STEP = 1e-14
-# Cap on step * max(max|g|, 1) once a candidate leaves the float range.  A
-# Barzilai-Borwein length can be long enough that step * g, or the
-# projection's sums over it, exceeds about 1.8e308; steps and moves of at
-# most 1e300 keep a point plus its move, and sums of k such entries, finite.
+# Cap on step * max(max|g|, 1) for first steps and once a candidate leaves
+# the float range: a longer step can put step * g, or the projection's sums
+# over it, past about 1.8e308; steps and moves of at most 1e300 keep a point
+# plus its move, and sums of k such entries, finite.
 _MAX_MOVE = 1e300
 
 
@@ -278,14 +278,17 @@ def _ascend(
     value and gradient of each block row listed in `rows`, given in block
     order with its point and signed counts.  The loop keeps the active
     rows' points, values, gradients, steps and signed counts compacted,
-    and calls the objective once per iteration on them.  A row moves only
-    when its step improves it; a rejected move halves the step.  After an
-    accepted move d, with gradient change y, the step is the projected
-    Barzilai-Borwein length |d|^2 / (-d.y), or doubles where -d.y is not
-    positive or the ratio is not finite; both products run one row at a
-    time.  Should a candidate
-    overflow, every row's step is cut so that step * max(max|g|, 1) <=
-    _MAX_MOVE, and the candidate is recomputed.  A row retires once a
+    and calls the objective once per iteration on them.  A row's first
+    step, W_radius / max|g| at its start, moves its largest coordinate one
+    radius, the distance from the ball's centre to a vertex; it is capped
+    so that step * max(max|g|, 1) <= _MAX_MOVE, and is 0 where no finite
+    step moves a radius.  A row moves only when its step improves it; a
+    rejected move halves the step.  After an accepted move d, with
+    gradient change y, the step is the projected Barzilai-Borwein length
+    |d|^2 / (-d.y), or doubles where -d.y is not positive or the ratio is
+    not finite; both products run one row at a time.  Should a candidate
+    overflow, every row's step is cut to that cap, and the candidate is
+    recomputed.  A row retires once a
     move gains relatively less than _REL_TOL, once its step underflows
     _MIN_STEP, or once a rejected candidate equals its point bit for bit (a
     projected fixed point, to which every other step projects back).  Its
@@ -305,8 +308,11 @@ def _ascend(
     Z = _project_columns(np.concatenate(starts, axis=0), k, cols, radius)
     every = np.arange(Z.shape[0])
     f, G = objective(Z, sig_rows, every)
-    best = np.empty(every.size)
-    rows, sig, steps = every, sig_rows, np.full(every.size, _STEP_SIZE)
+    best, rows, sig, gmax = np.empty(every.size), every, sig_rows, np.abs(G).max(axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        first, cap = radius / gmax, _MAX_MOVE / np.maximum(gmax, 1.0)
+    # Step 0, so the row retires at once, where no finite step moves a radius.
+    steps = np.where(np.isfinite(first), np.minimum(first, cap), 0.0)
     # One error context for the whole loop: a candidate that leaves the
     # float range raises where it is formed, and no iteration pays to check.
     with np.errstate(over="raise", invalid="raise"):
@@ -535,8 +541,7 @@ def generate_members(
     into the l1 ball, the start draw of _ascend."""
     if count < 1:
         raise ValueError("count must be positive")
-    if not 0.0 <= radius < math.inf:
-        raise ValueError("radius must be finite and nonnegative")
+    radius = _check_radius(radius, "radius")
     rng = np.random.default_rng(seed)
     members = []
     for _ in range(count):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -617,16 +618,37 @@ class TestAscentDriver:
             batch.sigma_vectors, batch.seed, spec, opt, 4, 1, 1, objective
         )
 
+    @staticmethod
+    def retirements(seen):
+        # The last call, counted from the start's call 0, that passes each row.
+        last = np.zeros(16, dtype=int)
+        for call, (rows, *_) in enumerate(seen):
+            last[rows] = call
+        return last
+
+    @staticmethod
+    def halvings(first_steps):
+        # How many rejected moves take each first step below _MIN_STEP;
+        # halving is exact, so this is the loop's own count.
+        counts = []
+        for step in first_steps:
+            count = 0
+            while step >= rademacher._MIN_STEP:
+                step, count = 0.5 * step, count + 1
+            counts.append(count)
+        return np.array(counts)
+
     def test_reaches_maximum_of_concave_quadratic(self):
         values = self.ascend(self.quadratic(self.A, self.C), 500)
         assert np.all(values <= 0.0) and np.all(values >= -1e-6)
 
     def test_step_grows_on_success(self):
         # A shallow quadratic whose maximum lies 0.56 to 1.09 from the
-        # starts.  With steps of at most 0.1, each step closes at most
-        # 2 * 0.01 * 0.1 = 0.2% of the distance along the flattest axis, so
-        # 100 iterations would leave most of it; doubling steps reach the
-        # maximum and retire every row before iteration 100.
+        # starts.  A row's first step, 1 / max|g|, is 8.4 to 64 here, and
+        # the flattest axis has an eighth of the steepest's curvature, so
+        # steps that kept their first length (halving on rejection only)
+        # take 72 iterations to retire every row.  Barzilai-Borwein
+        # lengths, the inverse curvature along each move, take 28.
         calls = []
         shallow = self.quadratic(0.02 * self.A, np.array([-0.3, 0.3, -0.2, 0.1]))
 
@@ -635,24 +657,28 @@ class TestAscentDriver:
             return shallow(Z, sig, rows)
 
         values = self.ascend(counted, 500)
-        assert len(calls) <= 1 + 100  # the start, the steps
+        assert len(calls) <= 1 + 40  # the start, the steps
         assert np.all(values <= 0.0) and np.all(values >= -1e-6)
 
     def test_rows_retire_when_the_step_underflows(self):
-        # A flat objective never accepts a step, so every row halves its
-        # step 44 times (0.1 * 2**-44 < _MIN_STEP) and retires long before
-        # the cap of 200 iterations.  Its gradient -z points into the ball
-        # from every nonzero point, so the candidate (1 - step) z never
-        # equals its point and no row retires at a projected fixed point.
-        calls = []
+        # A flat objective never accepts a step, so each row halves its
+        # first step, 1 / max|z| for the gradient -z at radius 1, until it
+        # falls below _MIN_STEP: 47 or 48 times for these starts, whose
+        # first steps lie in [1.39, 2.76], long before the cap of 200
+        # iterations.  Its gradient -z points into the ball from every
+        # nonzero point, so the candidate (1 - step) z never equals its
+        # point and no row retires at a projected fixed point.
+        seen = []
 
         def flat(Z, sig, rows):
-            calls.append(Z.shape[0])
+            seen.append((rows, Z))
             return np.zeros(Z.shape[0]), -Z
 
         values = self.ascend(flat, 200)
-        assert len(calls) == 1 + 44  # the start, the steps
-        assert set(calls) == {16}
+        counts = self.halvings(1.0 / np.abs(seen[0][1]).max(axis=1))
+        assert set(counts) == {47, 48}
+        assert np.array_equal(self.retirements(seen), counts)
+        assert len(seen) == 1 + counts.max()  # the start, the steps
         assert np.array_equal(values, np.zeros(16))
 
     def test_rows_retire_at_a_fixed_point(self):
@@ -671,31 +697,70 @@ class TestAscentDriver:
         assert np.array_equal(values, np.full(16, 0.4))
         assert len(calls) <= 1 + 15
 
+    def test_first_candidate_is_scale_free(self):
+        # The first step radius / max|g| shrinks by the factor that scales
+        # the gradient, a power of two here, so step * g and every row's
+        # first candidate keep each bit.
+        firsts = []
+        for scale in (1.0, 2.0**10):
+            quadratic, calls = self.quadratic(self.A, self.C), []
+
+            def scaled(Z, sig, rows):
+                calls.append(Z)
+                value, grad = quadratic(Z, sig, rows)
+                return scale * value, scale * grad
+
+            self.ascend(scaled, 200)
+            firsts.append(calls[1])
+        assert np.array_equal(*firsts)
+
+    @pytest.mark.parametrize("gradient", [0.0, 5e-324, 1e-310])
+    def test_row_without_a_gradient_keeps_its_start_value(self, gradient):
+        # radius / max|g| is inf here, as no finite step moves the row one
+        # radius, so its first step is 0: no warning, no FloatingPointError,
+        # and the first candidate is the start itself, bit for bit.  Every
+        # row retires there at once, with the value of its start.
+        calls = []
+
+        def level(Z, sig, rows):
+            calls.append(Z)
+            return rows / 16.0, np.full_like(Z, gradient)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = self.ascend(level, 200)
+        assert len(calls) == 2 and np.array_equal(calls[1], calls[0])
+        assert np.array_equal(values, np.arange(16) / 16.0)
+
     def test_retired_rows_leave_the_block(self):
-        # Rows 0-7 are flat, with the inward gradient -z of the underflow
-        # test above, and retire after 44 halvings.  Rows 8-15 follow
-        # a steep quartic with its maximum at c: its curvature vanishes
-        # there, so even Barzilai-Borwein steps close in only linearly, and
-        # at this scale the last row gains less than _REL_TOL only on step
-        # 58.  The calls shrink as rows retire, each gets the sigma vectors
-        # of the rows it is passed, and a retired row keeps its value.
+        # Rows 0-7 are flat, with the inward gradient of the underflow test
+        # above times 2**20: their first steps are 2**20 times shorter, so
+        # they retire after 27 or 28 halvings.  Rows 8-15 follow a steep
+        # quartic with its maximum at c: its curvature vanishes there, so
+        # even Barzilai-Borwein steps close in only linearly, and at this
+        # scale the last row gains less than _REL_TOL only on step 35.  The
+        # calls shrink as rows retire, each gets the sigma vectors of the
+        # rows it is passed, and a retired row keeps its value.
         a, c = 1e8 * self.A, self.C
         flat = np.arange(16) < 8
         seen = []
 
         def mixed(Z, sig, rows):
-            seen.append((rows, sig))
+            seen.append((rows, sig, Z))
             value = np.where(flat[rows], 0.25, -((Z - c) ** 4 * a).sum(axis=1))
-            grad = np.where(flat[rows, None], -Z, -4.0 * a * (Z - c) ** 3)
+            grad = np.where(flat[rows, None], -2.0**20 * Z, -4.0 * a * (Z - c) ** 3)
             return value, grad
 
         values = self.ascend(mixed, 500)
+        counts = self.halvings(2.0**-20 / np.abs(seen[0][2][flat]).max(axis=1))
         sigma = rr.sample_sigma_batch(5, 16, 2).sigma_vectors
-        sizes = [rows.size for rows, _ in seen]
+        sizes = [rows.size for rows, *_ in seen]
         assert sizes[0] == 16
         assert all(x >= y for x, y in zip(sizes, sizes[1:]))
-        assert len(seen) > 1 + 44 and not flat[seen[-1][0]].any()
-        assert all(np.array_equal(sig, sigma[rows]) for rows, sig in seen)
+        assert set(counts) == {27, 28}
+        assert np.array_equal(self.retirements(seen)[flat], counts)
+        assert len(seen) > 1 + counts.max() and not flat[seen[-1][0]].any()
+        assert all(np.array_equal(sig, sigma[rows]) for rows, sig, _ in seen)
         assert np.array_equal(values[flat], np.full(8, 0.25))
         assert np.all(values[~flat] <= 0.0) and np.all(values[~flat] >= -1e-6)
 
@@ -811,7 +876,7 @@ class TestFiniteT:
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0])
     def test_member_radius_validated(self, radius):
-        with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="radius must be a finite nonnegative real"):
             rr.generate_members(4, 2, 3, radius, 1)
 
     def test_members_reach_a_radius_above_k(self):
